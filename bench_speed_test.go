@@ -12,7 +12,6 @@ package secmem_test
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"secmem/internal/aescipher"
@@ -65,21 +64,6 @@ func BenchmarkGHASHTable(b *testing.B) {
 	b.SetBytes(int64(len(buf)))
 	for i := 0; i < b.N; i++ {
 		gf128.GHASHTable8(&tbl, nil, buf)
-	}
-}
-
-// BenchmarkGHASHTable4 measures the same hash through the retired 4-bit
-// nibble table, kept as a differential oracle. The ratio to
-// BenchmarkGHASHTable is the 8-bit upgrade's speedup.
-func BenchmarkGHASHTable4(b *testing.B) {
-	var h [16]byte
-	rand.New(rand.NewSource(11)).Read(h[:])
-	tbl := gf128.NewProductTable(gf128.FromBytes(h[:]))
-	buf := make([]byte, 1024)
-	rand.New(rand.NewSource(13)).Read(buf)
-	b.SetBytes(int64(len(buf)))
-	for i := 0; i < b.N; i++ {
-		gf128.GHASHTable(&tbl, nil, buf)
 	}
 }
 
@@ -157,44 +141,4 @@ func BenchmarkEndToEndSimSpeed(b *testing.B) {
 		instr += out.CPU.Instructions
 	}
 	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sim_instr/s")
-}
-
-// BenchmarkCampaignFig4Parallel runs the same reduced Figure 4 campaign on
-// the sharded sim core with one worker per available CPU. The ratio to
-// BenchmarkCampaignFig4 is the end-to-end campaign speedup from sharding
-// (bounded by the host's core count and the eight-slice partition).
-func BenchmarkCampaignFig4Parallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r := harness.New(harness.Options{
-			Instructions: 300_000,
-			Seed:         1,
-			Benches:      []string{"swim", "mcf", "crafty"},
-			Functional:   true,
-			Shards:       runtime.GOMAXPROCS(0),
-		})
-		r.Fig4()
-	}
-}
-
-// BenchmarkEndToEndSimSpeedParallel is BenchmarkEndToEndSimSpeed on the
-// sharded core: simulated instructions per second at Shards=GOMAXPROCS,
-// plus the wall time of the deterministic merge fold per run (merge_ns/op)
-// — the serial tail that caps the achievable speedup.
-func BenchmarkEndToEndSimSpeedParallel(b *testing.B) {
-	r := harness.New(harness.Options{
-		Instructions: 1_000_000,
-		Seed:         1,
-		Shards:       runtime.GOMAXPROCS(0),
-	})
-	cfg := config.Default()
-	b.ResetTimer()
-	var instr uint64
-	var mergeNs int64
-	for i := 0; i < b.N; i++ {
-		out := r.Run("swim", cfg)
-		instr += out.CPU.Instructions
-		mergeNs += r.MergeNanos()
-	}
-	b.ReportMetric(float64(instr)/b.Elapsed().Seconds(), "sim_instr/s")
-	b.ReportMetric(float64(mergeNs)/float64(b.N), "merge_ns/op")
 }

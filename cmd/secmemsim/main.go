@@ -45,10 +45,6 @@ func main() {
 		instr    = flag.Uint64("instr", 2_000_000, "instructions to simulate")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		funcMode = flag.Bool("functional", false, "enable the byte-level crypto layer (real AES pads, GHASH MACs) under the timing model")
-		shards   = flag.Int("shards", 0, "run the address-sliced parallel sim core on N worker goroutines (0 = classic serial model; results are identical for every N > 0)")
-		routeWk  = flag.Int("routeworkers", 0, "with -shards: replay-worker count of the pipelined trace front-end (0 = GOMAXPROCS; results are identical for every count)")
-		routeChk = flag.Int("routechunk", 0, "with -shards: pipeline chunk size in instructions (0 = default; wall-time knob only, results are identical)")
-		hashWk   = flag.Int("hashworkers", 0, "in functional mode, MAC independent Merkle levels on N concurrent workers (0/1 = serial hashing; results are identical)")
 		timeline = flag.Bool("timeline", false, "print the Figure 1 L2-miss timelines for this configuration and exit")
 		overhead = flag.Bool("overhead", false, "print memory space overheads for the paper's schemes and exit")
 
@@ -108,10 +104,6 @@ func main() {
 		cfg.AuthenticateCounters = *ctrAuth
 	}
 	cfg.CounterCache.SizeBytes = *sncKB << 10
-	if *hashWk < 0 {
-		fatalf("-hashworkers must be >= 0")
-	}
-	cfg.HashWorkers = *hashWk
 	if err := cfg.Validate(); err != nil {
 		fatalf("invalid configuration: %v", err)
 	}
@@ -130,6 +122,9 @@ func main() {
 		return
 	}
 
+	if *instr == 0 {
+		fatalf("-instr must be > 0")
+	}
 	benches := []string{*bench}
 	if *bench == "all" {
 		benches = trace.Names()
@@ -192,17 +187,10 @@ func main() {
 		}()
 	}
 
-	if *shards < 0 {
-		fatalf("-shards must be >= 0")
-	}
 	r := harness.New(harness.Options{Instructions: *instr, Seed: *seed, Benches: benches,
-		Functional: *funcMode, Shards: *shards, RouteWorkers: *routeWk, RouteChunk: *routeChk})
-	title := fmt.Sprintf("secmemsim: %s, %s requirement, %d instructions", cfg.SchemeName(), cfg.Req, *instr)
-	if *shards > 0 {
-		title += fmt.Sprintf(", %d-slice sharded core (%d workers)", harness.ShardSlices, *shards)
-	}
+		Functional: *funcMode})
 	tbl := stats.Table{
-		Title: title,
+		Title: fmt.Sprintf("secmemsim: %s, %s requirement, %d instructions", cfg.SchemeName(), cfg.Req, *instr),
 		Cols: []string{"bench", "IPC", "norm IPC", "L2 miss", "ctr hit", "timely pad",
 			"page reencs", "mac fetch", "tamper"},
 	}

@@ -104,7 +104,6 @@ type Cipher struct {
 }
 
 // New expands key (16, 24, or 32 bytes for AES-128/192/256) into a Cipher.
-//
 func New(key []byte) (*Cipher, error) {
 	var rounds int
 	switch len(key) {
@@ -124,7 +123,6 @@ func New(key []byte) (*Cipher, error) {
 
 // MustNew is New but panics on a bad key size; convenient for fixed-size
 // keys generated inside the simulator.
-//
 func MustNew(key []byte) *Cipher {
 	c, err := New(key)
 	if err != nil {
@@ -137,7 +135,6 @@ func MustNew(key []byte) *Cipher {
 // lookups are secret-indexed — the canonical AES cache-timing channel —
 // and are suppressed per line because this code models the hardware
 // engine's combinational S-box, where no cache exists (Section 5).
-//
 func subWord(w uint32) uint32 {
 	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 | //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope
 		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff]) //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope

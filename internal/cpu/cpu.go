@@ -52,20 +52,6 @@ type Source interface {
 	Next() (Event, bool)
 }
 
-// BudgetSource is an optional Source refinement for streamed workloads
-// whose instruction budget is not known up front. Run re-reads Budget
-// after every Next, so a source may report a sentinel (^uint64(0)) while
-// the true budget is still in flight and tighten it once known — the
-// pipelined router learns a slice's budget only when it seals the final
-// segment, which by construction carries the budget-crossing event, so
-// the tightened value always arrives before the event it cuts. Budget
-// must never increase across calls once it has dropped below the
-// sentinel.
-type BudgetSource interface {
-	Source
-	Budget() uint64
-}
-
 // Result summarizes one simulation.
 type Result struct {
 	Instructions uint64
@@ -171,20 +157,12 @@ func (c *CPU) noteRetire(idx uint64, readySub sim.Time) {
 }
 
 // Run executes up to maxInstructions from src and returns the result.
-// If src also implements BudgetSource, the effective budget is re-read
-// after every event, letting a streaming source defer the exact cutoff
-// until its final segment arrives; the result is identical to running
-// with the final budget passed up front.
 func (c *CPU) Run(src Source, maxInstructions uint64) Result {
-	bs, streamed := src.(BudgetSource)
 	spi := c.subPerInstr()
 	for c.res.Instructions < maxInstructions {
 		ev, ok := src.Next()
 		if !ok {
 			break
-		}
-		if streamed {
-			maxInstructions = bs.Budget()
 		}
 		// Bulk-dispatch the preceding non-memory instructions.
 		n := uint64(ev.NonMemBefore)

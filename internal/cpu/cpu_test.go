@@ -241,68 +241,3 @@ func TestStoresDoNotBlockDependence(t *testing.T) {
 		t.Errorf("store blocked a dependent access: %d vs %d", mem.issues[1], mem.issues[0])
 	}
 }
-
-// deferredBudget wraps a Source, reporting a sentinel budget until
-// revealAt events have been served and the true budget afterwards — the
-// shape of the pipelined router's segment source, which learns a slice's
-// budget only when the final segment arrives.
-type deferredBudget struct {
-	src    *sliceSource
-	budget uint64
-	reveal int
-}
-
-func (d *deferredBudget) Next() (Event, bool) { return d.src.Next() }
-
-func (d *deferredBudget) Budget() uint64 {
-	if d.src.i >= d.reveal {
-		return d.budget
-	}
-	return ^uint64(0)
-}
-
-// TestDeferredBudgetMatchesUpFront: running with the budget revealed late
-// through BudgetSource must produce the exact Result of passing it to Run
-// up front — including budgets that end mid-batch inside an event's
-// non-memory prefix and budgets past the end of the stream. The contract
-// requires the budget to be known no later than the event it cuts, so
-// reveal points are clamped to the crossing event's index (the pipelined
-// router guarantees this by carrying the budget on the final segment).
-func TestDeferredBudgetMatchesUpFront(t *testing.T) {
-	cfg := testCfg()
-	evs := make([]Event, 200)
-	for i := range evs {
-		evs[i] = Event{Addr: uint64(i) * 64, NonMemBefore: uint32(i % 7), Dependent: i%3 == 0}
-	}
-	// crossing returns the index of the event the budget cuts (or ends on).
-	crossing := func(budget uint64) int {
-		var done uint64
-		for i, ev := range evs {
-			n := uint64(ev.NonMemBefore)
-			if n >= budget-done {
-				return i
-			}
-			done += n + 1
-			if done >= budget {
-				return i
-			}
-		}
-		return len(evs)
-	}
-	for _, budget := range []uint64{0, 1, 5, 100, 333, 700, 1e6} {
-		want := New(cfg, &fakeMem{dataLat: 150, authLat: 80, miss: true}).
-			Run(&sliceSource{evs: evs}, budget)
-		cross := crossing(budget)
-		for _, reveal := range []int{0, 1, 50, len(evs)} {
-			if reveal > cross {
-				reveal = cross
-			}
-			src := &deferredBudget{src: &sliceSource{evs: evs}, budget: budget, reveal: reveal}
-			got := New(cfg, &fakeMem{dataLat: 150, authLat: 80, miss: true}).
-				Run(src, ^uint64(0))
-			if got != want {
-				t.Fatalf("budget %d reveal %d: deferred %+v, up-front %+v", budget, reveal, got, want)
-			}
-		}
-	}
-}

@@ -2,12 +2,10 @@ package gf128
 
 import "testing"
 
-// FuzzMulTable differentially tests both table-driven multiplies — the
-// production 8-bit path and the 4-bit oracle — against the bit-serial Mul:
-// for any subkey h and operand e, e.MulTable8(table8(h)) and
-// e.MulTable(table(h)) must both equal e.Mul(h). The 8-bit path is what
-// GHASH runs in the hot loop, so a divergence here is a silent MAC-forgery
-// bug.
+// FuzzMulTable differentially tests the production 8-bit table multiply
+// against the bit-serial Mul: for any subkey h and operand e,
+// e.MulTable8(table8(h)) must equal e.Mul(h). The 8-bit path is what GHASH
+// runs in the hot loop, so a divergence here is a silent MAC-forgery bug.
 func FuzzMulTable(f *testing.F) {
 	f.Add(
 		[]byte{0x66, 0xe9, 0x4b, 0xd4, 0xef, 0x8a, 0x2c, 0x3b, 0x88, 0x4c, 0xfa, 0x59, 0xca, 0x34, 0x2b, 0x2e},
@@ -24,14 +22,7 @@ func FuzzMulTable(f *testing.F) {
 		}
 		h := FromBytes(hb[:16])
 		e := FromBytes(eb[:16])
-		tbl := NewProductTable(h)
-		fast := e.MulTable(&tbl)
 		slow := e.Mul(h)
-		if fast != slow {
-			fb, sb := fast.Bytes(), slow.Bytes()
-			t.Fatalf("MulTable diverges from bit-serial Mul:\n  h    = %x\n  e    = %x\n  fast = %x\n  slow = %x",
-				hb[:16], eb[:16], fb[:], sb[:])
-		}
 		tbl8 := NewProductTable8(h)
 		if fast8 := e.MulTable8(&tbl8); fast8 != slow {
 			fb, sb := fast8.Bytes(), slow.Bytes()
@@ -41,10 +32,10 @@ func FuzzMulTable(f *testing.F) {
 		// Sanity: the table path must also respect the distributive law the
 		// GHASH accumulator relies on: (a ^ b) * h == a*h ^ b*h.
 		b2 := FromBytes(eb[:16]).Xor(h)
-		lhs := b2.MulTable(&tbl)
-		rhs := e.MulTable(&tbl).Xor(h.MulTable(&tbl))
+		lhs := b2.MulTable8(&tbl8)
+		rhs := e.MulTable8(&tbl8).Xor(h.MulTable8(&tbl8))
 		if lhs != rhs {
-			t.Fatalf("MulTable violates distributivity for h=%x e=%x", hb[:16], eb[:16])
+			t.Fatalf("MulTable8 violates distributivity for h=%x e=%x", hb[:16], eb[:16])
 		}
 	})
 }

@@ -141,6 +141,26 @@ func TestUpdateUnalignedPanics(t *testing.T) {
 	g.Update(make([]byte, 15))
 }
 
+// TestHashZeroAlloc verifies the incremental path allocates only at
+// construction: Update/UpdateLengths/Sum/Reset stay off the heap.
+func TestHashZeroAlloc(t *testing.T) {
+	h := make([]byte, 16)
+	for i := range h {
+		h[i] = byte(i + 1)
+	}
+	g := NewHash(h)
+	blk := make([]byte, 64)
+	allocs := testing.AllocsPerRun(100, func() {
+		g.Reset()
+		g.Update(blk)
+		g.UpdateLengths(0, 512)
+		_ = g.Sum()
+	})
+	if allocs != 0 {
+		t.Errorf("Hash update cycle allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
 func BenchmarkMul(b *testing.B) {
 	x := Element{0x0123456789abcdef, 0xfedcba9876543210}
 	y := Element{0xdeadbeefcafebabe, 0x0f1e2d3c4b5a6978}

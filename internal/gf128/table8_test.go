@@ -23,22 +23,6 @@ func TestMulTable8MatchesMul(t *testing.T) {
 	}
 }
 
-// TestMulTable8MatchesMulTable pins the 8-bit path to the retired 4-bit
-// production path: two independent table constructions of the same field
-// must agree everywhere.
-func TestMulTable8MatchesMulTable(t *testing.T) {
-	f := func(x, h [16]byte) bool {
-		xe, he := FromBytes(x[:]), FromBytes(h[:])
-		t4 := NewProductTable(he)
-		t8 := NewProductTable8(he)
-		return xe.MulTable8(&t8) == xe.MulTable(&t4)
-	}
-	cfg := &quick.Config{MaxCount: 2000}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestMulTable8KnownProduct replays the McGrew–Viega vector used for Mul.
 func TestMulTable8KnownProduct(t *testing.T) {
 	h := elemFromHex(t, "66e94bd4ef8a2c3b884cfa59ca342b2e")
@@ -90,22 +74,22 @@ func TestReduce8MatchesMulX(t *testing.T) {
 }
 
 // TestRev8IsInvolution sanity-checks the byte bit-reversal table: applying
-// it twice is the identity and it extends rev4 consistently.
+// it twice is the identity and each single bit lands in its mirror slot.
 func TestRev8IsInvolution(t *testing.T) {
 	for i := 0; i < 256; i++ {
 		if rev8[rev8[i]] != byte(i) {
 			t.Fatalf("rev8 is not an involution at %d", i)
 		}
 	}
-	for i := 0; i < 16; i++ {
-		if rev8[i]>>4 != rev4[i] || rev8[i]&0xf != 0 {
-			t.Fatalf("rev8[%d] = %#x inconsistent with rev4[%d] = %#x", i, rev8[i], i, rev4[i])
+	for b := 0; b < 8; b++ {
+		if got, want := rev8[1<<b], byte(0x80>>b); got != want {
+			t.Fatalf("rev8[%#x] = %#x, want %#x", 1<<b, got, want)
 		}
 	}
 }
 
-// TestGHASHTable8MatchesGHASH pins the zero-alloc 8-bit one-shot against both
-// the incremental oracle path and the 4-bit one-shot across ragged lengths.
+// TestGHASHTable8MatchesGHASH pins the zero-alloc 8-bit one-shot against the
+// incremental oracle path across ragged lengths.
 func TestGHASHTable8MatchesGHASH(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
@@ -116,16 +100,11 @@ func TestGHASHTable8MatchesGHASH(t *testing.T) {
 		rng.Read(aad)
 		rng.Read(ct)
 		t8 := NewProductTable8(FromBytes(h))
-		t4 := NewProductTable(FromBytes(h))
 		got := GHASHTable8(&t8, aad, ct)
 		want := GHASH(h, aad, ct)
 		if got != want {
 			t.Fatalf("len(aad)=%d len(ct)=%d: GHASHTable8 = %x, GHASH = %x",
 				len(aad), len(ct), got, want)
-		}
-		if got4 := GHASHTable(&t4, aad, ct); got4 != got {
-			t.Fatalf("len(aad)=%d len(ct)=%d: GHASHTable8 = %x, GHASHTable = %x",
-				len(aad), len(ct), got, got4)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"runtime"
 	"testing"
 )
 
@@ -39,22 +38,6 @@ var campaignGoldens = []struct {
 		},
 	},
 	{
-		// The sharded core simulates a different machine than the serial
-		// model (ShardSlices slice-private hierarchies), so it carries its
-		// own fingerprint. Options.Shards is a worker count, never a model
-		// parameter — TestFig4RunToRunDeterminism proves every positive
-		// value reproduces this same table.
-		name:   "Fig4Sharded",
-		sha256: "d47d18c4578b687342128fc013707dd8f5cff01d7816cea22f9125ea08ba57e8",
-		length: 978,
-		run: func() string {
-			r := New(Options{Instructions: 300_000, Seed: 1, Shards: 1,
-				Benches: []string{"swim", "mcf", "crafty"}})
-			tbl, _ := r.Fig4()
-			return tbl.String()
-		},
-	},
-	{
 		name:   "Scalars",
 		sha256: "cbb68268876dccd7f5502fec017468591328c9c7ca5de91e7a67061263f5bd5c",
 		length: 609,
@@ -79,12 +62,15 @@ func TestFig4RunToRunDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("two multi-scheme campaigns; skipped with -short")
 	}
-	run := func() (string, string) {
+	// The two runs differ only in worker count — one serial, one at the
+	// GOMAXPROCS default — so the check also pins that Parallelism changes
+	// wall time, never results.
+	run := func(parallelism int) (string, string) {
 		// Functional: the real byte-level crypto (table-driven GHASH, AES
 		// kernels, MAC paths) is in the measured loop, so kernel-level
 		// nondeterminism would surface here too.
 		r := New(Options{Instructions: 200_000, Seed: 1, Functional: true,
-			Benches: []string{"swim", "mcf", "crafty"}})
+			Benches: []string{"swim", "mcf", "crafty"}, Parallelism: parallelism})
 		tbl, data := r.Fig4()
 		raw, err := json.Marshal(data) // map keys marshal sorted: canonical form
 		if err != nil {
@@ -92,60 +78,13 @@ func TestFig4RunToRunDeterminism(t *testing.T) {
 		}
 		return tbl.String(), string(raw)
 	}
-	tbl1, raw1 := run()
-	tbl2, raw2 := run()
+	tbl1, raw1 := run(1)
+	tbl2, raw2 := run(0)
 	if tbl1 != tbl2 {
-		t.Errorf("rendered Figure 4 table differs between two identical in-process runs:\nfirst:\n%s\nsecond:\n%s", tbl1, tbl2)
+		t.Errorf("rendered Figure 4 table differs between serial and parallel in-process runs:\nserial:\n%s\nparallel:\n%s", tbl1, tbl2)
 	}
 	if raw1 != raw2 {
-		t.Errorf("normalized-IPC grid differs between two identical in-process runs:\nfirst: %s\nsecond: %s", raw1, raw2)
-	}
-
-	// The sharded core makes the same promise across worker counts:
-	// Options.Shards only chooses how many goroutines drain the slice
-	// queues, so one worker, two workers, and one per host CPU must render
-	// byte-identical tables and grids. This is the dynamic check of the
-	// shard.go determinism argument (routing is input-only, slices are
-	// closed systems, merges are order-insensitive folds).
-	runSharded := func(workers, routeWorkers int) (string, string) {
-		r := New(Options{Instructions: 200_000, Seed: 1, Functional: true,
-			Benches: []string{"swim", "mcf", "crafty"}, Shards: workers,
-			RouteWorkers: routeWorkers})
-		tbl, data := r.Fig4()
-		raw, err := json.Marshal(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tbl.String(), string(raw)
-	}
-	counts := []int{1, 2, runtime.GOMAXPROCS(0)}
-	refTbl, refRaw := runSharded(counts[0], 1)
-	for _, w := range counts[1:] {
-		tbl, raw := runSharded(w, 1)
-		if tbl != refTbl {
-			t.Errorf("sharded Figure 4 table differs between %d and %d workers:\n%d workers:\n%s\n%d workers:\n%s",
-				counts[0], w, counts[0], refTbl, w, tbl)
-		}
-		if raw != refRaw {
-			t.Errorf("sharded normalized-IPC grid differs between %d and %d workers:\n%d workers: %s\n%d workers: %s",
-				counts[0], w, counts[0], refRaw, w, raw)
-		}
-	}
-
-	// The pipelined front-end's replay-worker count makes the same promise:
-	// RouteWorkers parallelizes chunk materialization, and the router's
-	// in-order splice erases any trace of which worker produced what, so
-	// every count renders the identical campaign.
-	for _, rw := range []int{2, runtime.GOMAXPROCS(0)} {
-		tbl, raw := runSharded(1, rw)
-		if tbl != refTbl {
-			t.Errorf("sharded Figure 4 table differs between 1 and %d route workers:\n1:\n%s\n%d:\n%s",
-				rw, refTbl, rw, tbl)
-		}
-		if raw != refRaw {
-			t.Errorf("sharded normalized-IPC grid differs between 1 and %d route workers:\n1: %s\n%d: %s",
-				rw, refRaw, rw, raw)
-		}
+		t.Errorf("normalized-IPC grid differs between serial and parallel in-process runs:\nserial: %s\nparallel: %s", raw1, raw2)
 	}
 }
 

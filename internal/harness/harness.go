@@ -50,27 +50,6 @@ type Options struct {
 	// off for speed; the speed benchmarks turn it on to measure the
 	// crypto kernels under a realistic access stream.
 	Functional bool
-	// Shards selects the sharded sim core (see shard.go): zero keeps the
-	// classic single-machine serial model; any positive value runs the
-	// ShardSlices-way address-sliced model on that many worker
-	// goroutines. The sliced model's results are byte-identical for every
-	// positive Shards value — workers only change wall time — but differ
-	// from the serial model's (the slices have private caches and trees),
-	// so goldens pin the two models separately.
-	Shards int
-	// RouteWorkers bounds the replay workers of the pipelined trace
-	// front-end (pipeline.go) that materialize generator chunks in
-	// parallel. Zero and negative mean "use GOMAXPROCS workers", the same
-	// contract as Parallelism; any positive value is honoured exactly.
-	// Like Shards, it changes wall time only, never results — fingerprints
-	// are pinned across worker counts. Ignored for serial (Shards == 0)
-	// runs.
-	RouteWorkers int
-	// RouteChunk is the pipeline's chunk size in instructions. Zero and
-	// negative select the built-in default; any positive value is
-	// honoured. Chunk size moves segment seal boundaries but never event
-	// order, keys, or budgets, so it too changes wall time only.
-	RouteChunk int
 }
 
 // DefaultOptions returns a campaign sized for interactive use.
@@ -139,22 +118,6 @@ type Runner struct {
 	mu        sync.Mutex
 	baselines map[string]float64
 	tableErr  error
-
-	// mergeNanos is the wall time of the last sharded run's merge fold;
-	// see MergeNanos.
-	mergeNanos int64
-
-	// calScratch recycles calendar segments across every sharded run the
-	// Runner executes, so a campaign's routing reuses a few pre-carved
-	// backing arrays instead of allocating per segment (pipeline.go).
-	calScratch calPool
-
-	// pipe* hold the wall-clock accounting of the most recent sharded
-	// run's pipelined front-end; see PipelineStats. Guarded by mu —
-	// campaign runs execute concurrently.
-	pipeFirstSealNanos int64
-	pipeRouteDoneNanos int64
-	pipeTotalNanos     int64
 }
 
 // noteTableErr records the first malformed-figure-row error. Figure tables
@@ -214,9 +177,6 @@ func (r *Runner) Run(bench string, cfg config.SystemConfig) RunOut {
 // accumulate across successive runs sharing a registry; gauges reflect the
 // latest run.
 func (r *Runner) RunObserved(bench string, cfg config.SystemConfig, obs Obs) RunOut {
-	if r.Opt.Shards > 0 {
-		return r.runSharded(bench, cfg, obs)
-	}
 	if r.Opt.Functional {
 		cfg.Functional = true
 	}
@@ -252,9 +212,7 @@ func (r *Runner) RunObserved(bench string, cfg config.SystemConfig, obs Obs) Run
 	return collectRunOut(bench, cfg, mem, res)
 }
 
-// collectRunOut assembles a RunOut from a finished machine. Shared by the
-// serial path and the sharded core (which collects one per slice and
-// merges).
+// collectRunOut assembles a RunOut from a finished machine.
 func collectRunOut(bench string, cfg config.SystemConfig, mem *core.MemSystem, res cpu.Result) RunOut {
 	out := RunOut{
 		Bench:   bench,
@@ -298,12 +256,11 @@ func collectRunOut(bench string, cfg config.SystemConfig, mem *core.MemSystem, r
 }
 
 // CampaignObserved runs every benchmark in the campaign against cfg in
-// parallel, each worker recording into its own shard of a sharded
-// registry, and returns the per-benchmark results in campaign order plus
-// the deterministic name-sorted merge of all shards. This is the
-// contention-free instrumentation pattern the parallel sim core and the
-// secmemd shards use: no registry is ever touched by two goroutines, and
-// the merged snapshot is independent of scheduling.
+// parallel, each run recording into its own shard of a sharded registry,
+// and returns the per-benchmark results in campaign order plus the
+// deterministic name-sorted merge of all shards. No registry is ever
+// touched by two goroutines, and the merged snapshot is independent of
+// scheduling.
 func (r *Runner) CampaignObserved(cfg config.SystemConfig) ([]RunOut, *obsv.Registry) {
 	benches := r.Opt.benches()
 	sh := obsv.NewSharded(len(benches))
@@ -357,41 +314,6 @@ func (r *Runner) workerCount() int {
 	return r.Opt.Parallelism
 }
 
-// routeWorkers resolves Options.RouteWorkers under the same contract as
-// Parallelism: <= 0 maps to GOMAXPROCS, positive values pass through.
-func (r *Runner) routeWorkers() int {
-	if r.Opt.RouteWorkers <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return r.Opt.RouteWorkers
-}
-
-// routeChunk resolves Options.RouteChunk: <= 0 selects the default.
-func (r *Runner) routeChunk() uint64 {
-	if r.Opt.RouteChunk <= 0 {
-		return defaultRouteChunk
-	}
-	return uint64(r.Opt.RouteChunk)
-}
-
-// PipelineStats reports the wall-clock accounting of the most recent
-// sharded run's pipelined trace front-end, as fractions of that run's
-// total wall time: routeOverhead is the serial prefix before the first
-// sealed segment reached a slice (no simulation can proceed during it),
-// and pipelineFill is the span until routing completed (beyond it the
-// slices run free of the front-end). Both are zero for serial runs. The
-// readings are host wall time for the speed benchmarks; no simulated
-// number depends on them.
-func (r *Runner) PipelineStats() (routeOverhead, pipelineFill float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.pipeTotalNanos == 0 {
-		return 0, 0
-	}
-	total := float64(r.pipeTotalNanos)
-	return float64(r.pipeFirstSealNanos) / total, float64(r.pipeRouteDoneNanos) / total
-}
-
 // parallelFor runs fn(0..n-1) across a bounded worker pool.
 func (r *Runner) parallelFor(n int, fn func(i int)) {
 	parallelDo(r.workerCount(), n, fn)
@@ -399,8 +321,7 @@ func (r *Runner) parallelFor(n int, fn func(i int)) {
 
 // parallelDo runs fn(0..n-1) on up to workers goroutines. Which worker runs
 // which index is scheduler-dependent; callers must write results into
-// per-index slots so the outcome is independent of the assignment (the
-// sharded core and the campaign fan-out both do).
+// per-index slots so the outcome is independent of the assignment.
 func parallelDo(workers, n int, fn func(i int)) {
 	if workers > n {
 		workers = n

@@ -7,7 +7,7 @@ import (
 	"sort"
 )
 
-// GoroutineLife is the leak gate for the parallel simulator core: every
+// GoroutineLife is the leak gate for the simulator's concurrent code: every
 // `go` statement must carry a provable termination signal, and spawning
 // inside an unbounded loop must go through a bounded worker pool. A
 // goroutine body proves termination by any of:

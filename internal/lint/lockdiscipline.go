@@ -6,8 +6,8 @@ import (
 	"go/types"
 )
 
-// LockDiscipline is the second concurrency gate for the parallel simulator
-// core: every sync.Mutex/RWMutex Lock must be released on all paths
+// LockDiscipline is the second concurrency gate for the simulator's
+// concurrent code: every sync.Mutex/RWMutex Lock must be released on all paths
 // (defer-unlock preferred — an early return between Lock and a
 // non-deferred Unlock leaks the lock), and no lock may be held across a
 // channel send/receive, select, or blocking call (WaitGroup.Wait,

@@ -19,8 +19,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		{8, 4}, {15, 4},
 		{1 << 30, 31},
 		{1<<31 - 1, 31},
-		{1 << 31, 32},         // first value in the unbounded bucket
-		{1 << 62, 32},         // far beyond the bounded range: clamped
+		{1 << 31, 32},                 // first value in the unbounded bucket
+		{1 << 62, 32},                 // far beyond the bounded range: clamped
 		{^uint64(0), HistBuckets - 1}, // max value clamps to the last bucket
 	}
 	for _, c := range cases {

@@ -128,7 +128,6 @@ func Sum20(data []byte) [Size]byte {
 // 2006-era schemes predate mandatory HMAC in this setting; a prefix-keyed
 // truncated hash matches what the comparator designs assumed, and the
 // simulator only relies on it detecting tampering, which it does.
-//
 func MAC(key []byte, addr, counter uint64, data []byte, macBits int) []byte {
 	d := New()
 	d.Write(key)

@@ -72,15 +72,8 @@ type Profile struct {
 
 // Generator produces the instruction stream for one profile run. It
 // implements cpu.Source.
-//
-// The random state lives in a fibSource — a bit-exact, copyable port of
-// the math/rand source — wrapped in a *rand.Rand for the distribution
-// methods, so streams are identical to the historical
-// rand.New(rand.NewSource(seed)) construction while Clone can snapshot
-// the full generator state in O(1) for chunk-parallel generation.
 type Generator struct {
 	p        Profile
-	src      *fibSource
 	rng      *rand.Rand
 	cum      [4]float64 // cumulative weights: stream, random, chase, hot
 	streams  [4]uint64  // stream cursors
@@ -99,11 +92,9 @@ func NewGenerator(p Profile, seed int64) *Generator {
 	if p.MemFraction <= 0 || p.MemFraction >= 1 {
 		panic("trace: MemFraction out of (0,1): " + p.Name)
 	}
-	src := newFibSource(seed ^ int64(hashName(p.Name)))
 	g := &Generator{
 		p:   p,
-		src: src,
-		rng: rand.New(src),
+		rng: rand.New(rand.NewSource(seed ^ int64(hashName(p.Name)))),
 	}
 	g.cum[0] = p.StreamWeight / total
 	g.cum[1] = g.cum[0] + p.RandomWeight/total
@@ -115,26 +106,6 @@ func NewGenerator(p Profile, seed int64) *Generator {
 	g.gapMean = (1 - p.MemFraction) / p.MemFraction
 	return g
 }
-
-// Clone snapshots the generator: the copy produces exactly the stream
-// the original would have produced from this point, and the two advance
-// independently. This is the chunk-handoff primitive of the pipelined
-// trace front-end — the serial stepper clones at every chunk boundary
-// and a replay worker materializes the chunk's events from the snapshot.
-func (g *Generator) Clone() *Generator {
-	c := *g
-	c.src = g.src.clone()
-	// A fresh Rand over the cloned source: Rand itself holds no state
-	// that affects the draw methods the generator uses (its readVal/
-	// readPos buffer serves only Read, which is never called).
-	c.rng = rand.New(c.src)
-	return &c
-}
-
-// Profile returns the workload profile driving this generator, letting
-// routing code derive capacity hints (an expected event count is the
-// instruction budget times MemFraction) without re-resolving the name.
-func (g *Generator) Profile() Profile { return g.p }
 
 func hashName(s string) uint64 {
 	var h uint64 = 1469598103934665603
