@@ -1,5 +1,5 @@
-// Command escapeaudit cross-checks the hotpathalloc analyzer's lexical
-// zero-allocation verdicts against the compiler's real escape analysis.
+// Command escapeaudit holds the per-access hot paths to zero heap escapes
+// with the compiler's own escape analysis.
 //
 // The lint side (internal/lint.HotPathAudit) computes the call-graph closure
 // of every "//secmemlint:hotpath" root. This tool compiles the module with
@@ -7,7 +7,10 @@
 // that land inside a closure member's line range, and writes the result as
 // ESCAPE.json — a committed artifact, so any change to the hot paths' heap
 // behaviour shows up as a reviewable diff (CI regenerates the file and
-// fails on drift).
+// fails on drift). Together with each root package's testing.AllocsPerRun
+// test it is the whole zero-allocation gate: the runtime count also sees
+// allocations this report never lists, such as append growth of a local
+// slice, which the compiler does not print as an escape.
 //
 //	escapeaudit                 # regenerate ESCAPE.json, fail on unsanctioned escapes
 //	escapeaudit -out other.json # write elsewhere

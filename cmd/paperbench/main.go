@@ -39,6 +39,12 @@ func main() {
 		memProf = flag.String("memprofile", "", "write a heap profile taken after the campaign to this file")
 	)
 	flag.Parse()
+	if *instr == 0 {
+		// harness.New treats 0 as "use its 2M default"; an explicit 0 here
+		// is a mistake, not a request for that default.
+		fmt.Fprintln(os.Stderr, "paperbench: -instr must be > 0")
+		os.Exit(2)
+	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {

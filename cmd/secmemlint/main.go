@@ -23,9 +23,9 @@
 //	                  (per-function result/param/global/field effects and
 //	                  sink facts) instead of findings, then exit 0
 //	-dump-hotpaths    print the //secmemlint:hotpath call-graph closure —
-//	                  one line (or JSON entry) per function hotpathalloc
-//	                  holds to the zero-allocation standard, the same view
-//	                  cmd/escapeaudit freezes into ESCAPE.json
+//	                  one line (or JSON entry) per function held to the
+//	                  zero-allocation standard, the same view
+//	                  cmd/escapeaudit audits into ESCAPE.json
 //	-dump-goroutines  print every go statement with its enclosing loop
 //	                  shape and the termination proof goroutinelife accepts
 //	-suppressions     list every "//secmemlint:ignore" comment with

@@ -125,6 +125,20 @@ func main() {
 	if *instr == 0 {
 		fatalf("-instr must be > 0")
 	}
+	// obsv.NewRecorder/NewSampler map a cap <= 0 to their defaults; only 0
+	// means "default" here, and a negative cap is a mistake.
+	if *traceLimit < 0 {
+		fatalf("-tracelimit must be >= 0 (0 = default cap)")
+	}
+	if *sampleCap < 0 {
+		fatalf("-samplecap must be >= 0 (0 = default capacity)")
+	}
+	if *serveFor < 0 {
+		fatalf("-servefor must be >= 0 (0 = until interrupted)")
+	}
+	if *serveFor != 0 && *serveAddr == "" {
+		fatalf("-servefor requires -serve")
+	}
 	benches := []string{*bench}
 	if *bench == "all" {
 		benches = trace.Names()

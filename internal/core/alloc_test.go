@@ -1,0 +1,46 @@
+package core
+
+import (
+	"testing"
+
+	"secmem/internal/config"
+)
+
+// TestFunctionalHotRootsZeroAlloc pins the functional layer's
+// //secmemlint:hotpath roots — the encrypt, decrypt and MAC the controller
+// runs on every fill, write-back and tree-walk step — to zero heap
+// allocations per call. ESCAPE.json audits the same roots with the
+// compiler's escape analysis; this runtime count also sees growth the
+// escape report does not show, such as an append outgrowing its buffer.
+// encrypt/decrypt run on the default Split+GCM machine and on Direct
+// encryption; computeMac runs on GCM only, because the SHA-1 comparator's
+// one digest allocation per MAC is sanctioned in sha1sum.
+func TestFunctionalHotRootsZeroAlloc(t *testing.T) {
+	for _, enc := range []config.EncryptionMode{config.EncCounterSplit, config.EncDirect} {
+		cfg := config.Default()
+		cfg.Functional = true
+		cfg.Enc = enc
+		c, err := NewController(cfg)
+		if err != nil {
+			t.Fatalf("%v: NewController: %v", enc, err)
+		}
+		f := c.fn
+		src := make([]byte, BlockSize)
+		dst := make([]byte, BlockSize)
+		var mac [16]byte
+		cases := []struct {
+			name string
+			fn   func()
+		}{
+			{"encrypt", func() { f.encrypt(dst, src, 0x40, 7) }},
+			{"decrypt", func() { f.decrypt(src, dst, 0x40, 7) }},
+			{"computeMac", func() { f.computeMac(0x40, dst, 7, &mac) }},
+		}
+		for _, tc := range cases {
+			tc.fn() // warm any one-time paths before measuring
+			if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {
+				t.Errorf("%s+%s: %s allocates %.1f objects/op, want 0", enc, cfg.Auth, tc.name, allocs)
+			}
+		}
+	}
+}

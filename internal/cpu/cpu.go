@@ -86,7 +86,7 @@ type CPU struct {
 	// memops is a fixed-capacity ring of in-flight memory instructions'
 	// (index, retire-ready in sub-ticks) for the ROB-occupancy constraint.
 	// At most ROBSize memops are in flight, so the ring never grows — the
-	// run loop stays allocation-free (the hotpathalloc gate).
+	// run loop stays allocation-free.
 	memops        []memop
 	moHead, moLen int
 	moMask        int

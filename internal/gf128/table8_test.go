@@ -125,3 +125,16 @@ func TestGHASHTable8ZeroAlloc(t *testing.T) {
 		t.Errorf("GHASHTable8 allocates %.1f objects/op, want 0", allocs)
 	}
 }
+
+// TestMulTable8ZeroAlloc: every GHASH block step is one MulTable8, so the
+// multiply itself must stay off the heap too.
+func TestMulTable8ZeroAlloc(t *testing.T) {
+	tbl := NewProductTable8(Element{Hi: 0x66e94bd4ef8a2c3b, Lo: 0x884cfa59ca342b2e})
+	x := Element{Hi: 0x0123456789abcdef, Lo: 0xfedcba9876543210}
+	allocs := testing.AllocsPerRun(100, func() {
+		x = x.MulTable8(&tbl)
+	})
+	if allocs != 0 {
+		t.Errorf("MulTable8 allocates %.1f objects/op, want 0", allocs)
+	}
+}

@@ -16,7 +16,7 @@ const lintRepoBudget = 5 * time.Second
 // BenchmarkLintRepo measures the wall time of a full-repository lint run:
 // loading and typechecking every package with the stdlib-only loader,
 // building the call graph, computing interprocedural summaries over the
-// SCC condensation, then running all eleven analyzers. Run via
+// SCC condensation, then running the full analyzer suite. Run via
 // `make lint-bench`; every iteration also enforces lintRepoBudget.
 func BenchmarkLintRepo(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -121,14 +121,13 @@ func FuzzHotpathAnnotation(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body string) {
 		pkg := fuzzPackage(t, "package p\n"+body+"\n")
 		pkgs := []*Package{pkg}
-		idx := collectSecrets(pkgs)
-		ip := computeInterproc(pkgs, idx, collectIgnores(pkg))
+		g := buildCallGraph(pkgs)
 		// A root must trace back to a doc comment whose marker is exactly
 		// the prefix or the prefix followed by a space — a glued suffix like
 		// "hotpathglued" widening the closure would silently hold the wrong
 		// code to the zero-alloc standard (or miss the right code).
-		for _, fn := range hotPathRoots(ip) {
-			decl := ip.graph.decls[fn]
+		for _, fn := range hotPathRoots(g) {
+			decl := g.decls[fn]
 			if decl == nil || !hasHotPathDoc(decl.Doc) {
 				t.Fatalf("root %s registered without a well-formed hotpath doc comment", fn.Name())
 			}

@@ -30,7 +30,6 @@ func TestGoldenFixtures(t *testing.T) {
 		{SharedState, []string{"sharedstate/racy", "sharedstate/clean"}},
 		{LockDiscipline, []string{"lockdiscipline/leaky", "lockdiscipline/clean"}},
 		{GlobalMut, []string{"globalmut/core", "globalmut/merkle"}},
-		{HotPathAlloc, []string{"hotpathalloc/hot", "hotpathalloc/clean"}},
 		{Determinism, []string{"determinism/violating", "determinism/clean"}},
 		{GoroutineLife, []string{"goroutinelife/leaky", "goroutinelife/clean"}},
 	}

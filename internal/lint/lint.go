@@ -23,9 +23,6 @@
 //     preferred) and no lock is held across a blocking operation.
 //   - globalmut: no mutable package-level state in the simulator core
 //     packages, so shards and tenants stay independently instantiable.
-//   - hotpathalloc: code reachable from "//secmemlint:hotpath" roots (the
-//     per-access pad/MAC/multiply paths) must not heap-allocate;
-//     cross-checked against compiler escape analysis via ESCAPE.json.
 //   - determinism: no map-iteration order, wall clock, or cross-goroutine
 //     float accumulation may reach simulation outputs.
 //   - goroutinelife: every go statement carries a provable termination
@@ -37,10 +34,14 @@
 // core, and extended across function boundaries by the interprocedural
 // summaries of summary.go over the call graph of callgraph.go. The
 // concurrency analyzers (sharedstate, lockdiscipline, globalmut,
-// determinism, goroutinelife) are the static merge gate for the parallel
-// event-driven simulator core (ROADMAP); hotpathalloc rides the same call
-// graph to hold the per-access closure to the zero-allocation budget the
-// speed benchmarks assume.
+// determinism, goroutinelife) are the static merge gate for concurrent
+// code: campaign workers and the live observability server.
+//
+// The same call graph also yields the "//secmemlint:hotpath" closure
+// (hotpath.go) — the per-access pad/MAC/multiply paths. No analyzer judges
+// it lexically: cmd/escapeaudit holds it to zero heap escapes with the
+// compiler's escape analysis (ESCAPE.json), and per-package
+// testing.AllocsPerRun tests measure every root at zero allocations.
 //
 // The compiler cannot see any of these properties; the analyzers keep all
 // packages honest through refactors. cmd/secmemlint is the CLI driver and
@@ -117,7 +118,6 @@ func All() []*Analyzer {
 		SharedState,
 		LockDiscipline,
 		GlobalMut,
-		HotPathAlloc,
 		Determinism,
 		GoroutineLife,
 	}

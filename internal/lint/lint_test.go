@@ -46,7 +46,6 @@ func TestViolationsAreDetected(t *testing.T) {
 		"sharedstate":    "sharedstate/racy",
 		"lockdiscipline": "lockdiscipline/leaky",
 		"globalmut":      "globalmut/core",
-		"hotpathalloc":   "hotpathalloc/hot",
 		"determinism":    "determinism/violating",
 		"goroutinelife":  "goroutinelife/leaky",
 	}

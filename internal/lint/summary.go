@@ -214,8 +214,6 @@ type interproc struct {
 	// conc caches the concurrent-body fixpoint (scanLiterals +
 	// propagateConcurrency) shared by sharedstate and determinism.
 	conc *concurrency
-	// hot caches the hot-path closure analysis (hotpathalloc.go).
-	hot *hotAnalysis
 }
 
 // concurrency bundles the module-wide concurrent-body discovery so every
