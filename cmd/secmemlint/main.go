@@ -26,18 +26,18 @@
 //	                  one line (or JSON entry) per function held to the
 //	                  zero-allocation standard, the same view
 //	                  cmd/escapeaudit audits into ESCAPE.json
-//	-dump-goroutines  print every go statement with its enclosing loop
-//	                  shape and the termination proof goroutinelife accepts
 //	-suppressions     list every "//secmemlint:ignore" comment with
 //	                  file:line, analyzers, and reason (make lint-fix-audit)
 //
-// The suite includes the taint-tracking analyzers (secretflow, cttiming,
+// The suite includes the taint-tracking analyzers (secretflow and
 // taintescape), which are seeded by "//secmemlint:secret" annotations on
 // struct fields, variables, and function parameters/results; see
 // internal/lint/taint.go for the annotation grammar.
 //
 // Deliberate exceptions are silenced at the site with a
-// "//secmemlint:ignore <analyzer> <reason>" comment; the reason is required.
+// "//secmemlint:ignore <analyzer> <reason>" comment; the reason is required,
+// and a suppression naming no analyzer of -list (nor "all", nor the
+// hotpathalloc key cmd/escapeaudit reads) is itself reported.
 package main
 
 import (
@@ -59,7 +59,6 @@ func main() {
 	list := flag.Bool("list", false, "print the analyzer suite and exit")
 	dumpSummaries := flag.Bool("dump-summaries", false, "print the inferred interprocedural flow table and exit")
 	dumpHotpaths := flag.Bool("dump-hotpaths", false, "print the hotpath call-graph closure and exit")
-	dumpGoroutines := flag.Bool("dump-goroutines", false, "print every go statement with its loop shape and termination proof, then exit")
 	suppressions := flag.Bool("suppressions", false, "list every suppression comment with its reason and exit")
 	flag.Parse()
 	if *jsonOut {
@@ -128,26 +127,6 @@ func main() {
 			}
 			fmt.Printf("%s:%d-%d: %s%s (hot via %s)\n",
 				relFile(h.File), h.StartLine, h.EndLine, h.Func, mark, strings.Join(h.Roots, ", "))
-		}
-		return
-	}
-	if *dumpGoroutines {
-		sites := lint.GoroutineSites(all)
-		if *format == "json" {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(sites); err != nil {
-				fmt.Fprintln(os.Stderr, "secmemlint:", err)
-				os.Exit(2)
-			}
-			return
-		}
-		for _, s := range sites {
-			loop := ""
-			if s.Loop != "" {
-				loop = " loop=" + s.Loop
-			}
-			fmt.Printf("%s:%d: go in %s%s signal=%s\n", relFile(s.File), s.Line, s.In, loop, s.Signal)
 		}
 		return
 	}

@@ -8,19 +8,14 @@
 //	secmemsim -bench mcf -enc mono -bits 16 -auth sha -shalat 320 -req safe
 //	secmemsim -bench art -enc direct -instr 5000000
 //	secmemsim -bench swim -trace t.json -sample 1000 -timeseries ts.json
-//	secmemsim -bench swim -instr 5000000 -sample 1000 -serve 127.0.0.1:9190
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"strings"
-	"time"
 
 	"secmem/internal/config"
 	"secmem/internal/core"
@@ -55,8 +50,6 @@ func main() {
 		sampleCap  = flag.Int("samplecap", 0, "time-series ring capacity in samples (0 = default; ring keeps the newest window)")
 		tsOut      = flag.String("timeseries", "", "write the sampled time-series as sorted-column JSON to this file (requires -sample)")
 		tsCSV      = flag.String("timeseriescsv", "", "write the sampled time-series as CSV to this file (requires -sample)")
-		serveAddr  = flag.String("serve", "", "serve live observability over HTTP on this address: /metrics (Prometheus), /timeseries.json, /trace.json, /debug/pprof/")
-		serveFor   = flag.Duration("servefor", 0, "with -serve: keep serving this long after the run completes (0 = until interrupted)")
 	)
 	flag.Parse()
 
@@ -133,12 +126,6 @@ func main() {
 	if *sampleCap < 0 {
 		fatalf("-samplecap must be >= 0 (0 = default capacity)")
 	}
-	if *serveFor < 0 {
-		fatalf("-servefor must be >= 0 (0 = until interrupted)")
-	}
-	if *serveFor != 0 && *serveAddr == "" {
-		fatalf("-servefor requires -serve")
-	}
 	benches := []string{*bench}
 	if *bench == "all" {
 		benches = trace.Names()
@@ -148,57 +135,28 @@ func main() {
 
 	// The trace recorder and the time-series sampler are single-benchmark
 	// only — every run restarts at cycle 0, so a second run's spans and
-	// samples would overlap the first's on the same timeline. The live
-	// server rides on the sampler, so it inherits the restriction.
+	// samples would overlap the first's on the same timeline.
 	if len(benches) > 1 {
 		switch {
 		case *traceOut != "":
 			fatalf("-trace requires a single benchmark (runs restart at cycle 0 and would overlap in the timeline); pick one with -bench")
-		case *sample > 0 || *serveAddr != "":
-			fatalf("-sample/-serve require a single benchmark (runs restart at cycle 0); pick one with -bench")
+		case *sample > 0:
+			fatalf("-sample requires a single benchmark (runs restart at cycle 0); pick one with -bench")
 		}
 	}
 	if (*tsOut != "" || *tsCSV != "") && *sample == 0 {
 		fatalf("-timeseries/-timeseriescsv require -sample N")
 	}
-	if *serveAddr != "" && *sample == 0 {
-		// Live exposition needs a publication cadence; default to a sample
-		// every 10k cycles rather than serving a frozen snapshot.
-		*sample = 10_000
-	}
 
 	var obs harness.Obs
-	if *metricsOut != "" || *serveAddr != "" {
+	if *metricsOut != "" {
 		obs.Reg = obsv.NewRegistry()
 	}
-	if *traceOut != "" || (*serveAddr != "" && len(benches) == 1) {
+	if *traceOut != "" {
 		obs.Rec = obsv.NewRecorder(*traceLimit)
 	}
 	if *sample > 0 {
 		obs.Smp = obsv.NewSampler(*sample, *sampleCap)
-	}
-
-	// Live exposition: listen before the run starts so scrapers can
-	// connect immediately; each sample boundary publishes a fresh
-	// immutable snapshot for /metrics.
-	var server *obsv.Server
-	if *serveAddr != "" {
-		server = obsv.NewServer(obs.Smp)
-		server.Publish(obs.Reg.Snapshot())
-		reg := obs.Reg
-		srv := server
-		obs.Smp.OnSample(func(uint64) { srv.Publish(reg.Snapshot()) })
-		ln, err := net.Listen("tcp", *serveAddr)
-		if err != nil {
-			fatalf("-serve %s: %v", *serveAddr, err)
-		}
-		fmt.Printf("serving observability on http://%s (metrics, timeseries.json, trace.json, debug/pprof)\n", ln.Addr())
-		//secmemlint:ignore goroutinelife serves until process exit by design; http.Serve returns only on listener close and the process is the lifetime
-		go func() {
-			if err := http.Serve(ln, server); err != nil {
-				fmt.Fprintf(os.Stderr, "secmemsim: http server: %v\n", err)
-			}
-		}()
 	}
 
 	r := harness.New(harness.Options{Instructions: *instr, Seed: *seed, Benches: benches,
@@ -238,7 +196,7 @@ func main() {
 	}
 	fmt.Print(tbl.String())
 
-	if obs.Reg != nil && *metricsOut != "" {
+	if obs.Reg != nil {
 		if err := writeTo(*metricsOut, obs.Reg.WriteJSON); err != nil {
 			fatalf("writing metrics: %v", err)
 		}
@@ -262,33 +220,14 @@ func main() {
 		}
 	}
 	if obs.Rec != nil {
-		var rendered bytes.Buffer
-		if err := obs.Rec.WriteJSON(&rendered); err != nil {
-			fatalf("rendering trace: %v", err)
+		if err := writeTo(*traceOut, obs.Rec.WriteJSON); err != nil {
+			fatalf("writing trace: %v", err)
 		}
-		if *traceOut != "" {
-			if err := os.WriteFile(*traceOut, rendered.Bytes(), 0o644); err != nil {
-				fatalf("writing trace: %v", err)
-			}
-			if d := obs.Rec.Dropped(); d > 0 {
-				fmt.Fprintf(os.Stderr, "secmemsim: warning: %d trace events dropped at the cap (raise -tracelimit)\n", d)
-			}
-			fmt.Printf("trace written to %s (%d events; load in chrome://tracing or ui.perfetto.dev)\n",
-				*traceOut, obs.Rec.Len())
+		if d := obs.Rec.Dropped(); d > 0 {
+			fmt.Fprintf(os.Stderr, "secmemsim: warning: %d trace events dropped at the cap (raise -tracelimit)\n", d)
 		}
-		if server != nil {
-			server.PublishTrace(rendered.Bytes())
-		}
-	}
-	if server != nil {
-		server.Publish(obs.Reg.Snapshot())
-		if *serveFor > 0 {
-			fmt.Printf("run complete; serving for another %s\n", *serveFor)
-			time.Sleep(*serveFor)
-		} else {
-			fmt.Println("run complete; serving until interrupted (Ctrl-C)")
-			select {}
-		}
+		fmt.Printf("trace written to %s (%d events; load in chrome://tracing or ui.perfetto.dev)\n",
+			*traceOut, obs.Rec.Len())
 	}
 }
 

@@ -32,12 +32,10 @@ func TestInvalidFlagsExit2(t *testing.T) {
 		{[]string{"-instr", "0"}, "-instr must be > 0"},
 		{[]string{"-tracelimit", "-1"}, "-tracelimit must be >= 0"},
 		{[]string{"-samplecap", "-5"}, "-samplecap must be >= 0"},
-		{[]string{"-servefor", "1s"}, "-servefor requires -serve"},
-		{[]string{"-serve", "127.0.0.1:0", "-servefor", "-1s"}, "-servefor must be >= 0"},
 	}
 	for _, c := range cases {
-		// A flag that slipped through could start a server that never
-		// exits; the deadline turns that into a failure, not a hang.
+		// A flag that slipped through would start a simulation; the
+		// deadline turns a hang into a failure.
 		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 		cmd := exec.CommandContext(ctx, os.Args[0], append([]string{"-instr", "1000"}, c.args...)...)
 		cmd.Env = append(os.Environ(), "SECMEMSIM_TEST_MAIN=1")

@@ -36,6 +36,14 @@ func main() {
 		instr  = flag.Uint64("instr", 2_000_000, "instruction budget for -sim")
 	)
 	flag.Parse()
+	// A zero count would record an empty trace or simulate nothing and
+	// print a meaningless ratio; both are usage errors.
+	if *n == 0 {
+		usagef("-n must be > 0")
+	}
+	if *instr == 0 {
+		usagef("-instr must be > 0")
+	}
 	switch {
 	case *record:
 		doRecord(*bench, *seed, *n, *out)
@@ -44,9 +52,13 @@ func main() {
 	case *sim:
 		doSim(*in, *enc, *auth, *instr)
 	default:
-		fmt.Fprintln(os.Stderr, "secmemtrace: pick one of -record, -stats, -sim")
-		os.Exit(2)
+		usagef("pick one of -record, -stats, -sim")
 	}
+}
+
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "secmemtrace: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatalf(format string, args ...any) {
@@ -141,6 +153,9 @@ func doSim(in, enc, auth string, instr uint64) {
 		return res
 	}
 	base := run(config.Baseline(), openTrace(in))
+	if base.Instructions == 0 {
+		fatalf("%s holds no events; nothing to simulate", in)
+	}
 	prot := run(cfg, openTrace(in))
 	fmt.Printf("trace:          %s\n", in)
 	fmt.Printf("scheme:         %s (%s requirement)\n", cfg.SchemeName(), cfg.Req)

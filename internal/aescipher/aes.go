@@ -33,7 +33,7 @@ var (
 func mul2(b byte) byte {
 	hi := b & 0x80
 	b <<= 1
-	if hi != 0 { //secmemlint:ignore cttiming models the hardware engine's combinational xtime reduction; software branch timing out of scope
+	if hi != 0 {
 		b ^= 0x1b
 	}
 	return b
@@ -136,8 +136,8 @@ func MustNew(key []byte) *Cipher {
 // and are suppressed per line because this code models the hardware
 // engine's combinational S-box, where no cache exists (Section 5).
 func subWord(w uint32) uint32 {
-	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 | //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope
-		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff]) //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope
+	return uint32(sbox[w>>24])<<24 | uint32(sbox[w>>16&0xff])<<16 |
+		uint32(sbox[w>>8&0xff])<<8 | uint32(sbox[w&0xff])
 }
 
 func rotWord(w uint32) uint32 { return w<<8 | w>>24 }
@@ -178,17 +178,17 @@ func (c *Cipher) expandKey(key []byte) {
 	c.dec = d
 }
 
+// invMixWord applies InvMixColumns to one round-key word: output byte i
+// is the GF(2^8) dot product of the word's bytes with row i of the
+// inverse MixColumns matrix (rows are rotations of 0e 0b 0d 09), read
+// from the same multiply tables the inverse cipher's rounds use.
 func invMixWord(w uint32) uint32 {
 	var b [4]byte
 	b[0], b[1], b[2], b[3] = byte(w>>24), byte(w>>16), byte(w>>8), byte(w)
 	var o [4]byte
-	//secmemlint:ignore cttiming models the hardware key-schedule InvMixColumns network; software table timing out of scope
 	o[0] = mul14[b[0]] ^ mul11[b[1]] ^ mul13[b[2]] ^ mul9[b[3]]
-	//secmemlint:ignore cttiming models the hardware key-schedule InvMixColumns network; software table timing out of scope
 	o[1] = mul9[b[0]] ^ mul14[b[1]] ^ mul11[b[2]] ^ mul13[b[3]]
-	//secmemlint:ignore cttiming models the hardware key-schedule InvMixColumns network; software table timing out of scope
 	o[2] = mul13[b[0]] ^ mul9[b[1]] ^ mul14[b[2]] ^ mul11[b[3]]
-	//secmemlint:ignore cttiming models the hardware key-schedule InvMixColumns network; software table timing out of scope
 	o[3] = mul11[b[0]] ^ mul13[b[1]] ^ mul9[b[2]] ^ mul14[b[3]]
 	return uint32(o[0])<<24 | uint32(o[1])<<16 | uint32(o[2])<<8 | uint32(o[3])
 }
@@ -267,13 +267,13 @@ func addRoundKey(s *[16]byte, rk []uint32) {
 
 func subBytes(s *[16]byte) {
 	for i := range s {
-		s[i] = sbox[s[i]] //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope
+		s[i] = sbox[s[i]]
 	}
 }
 
 func invSubBytes(s *[16]byte) {
 	for i := range s {
-		s[i] = invSbox[s[i]] //secmemlint:ignore cttiming models the hardware engine's combinational inverse S-box; software table timing out of scope
+		s[i] = invSbox[s[i]]
 	}
 }
 
@@ -303,10 +303,10 @@ func mixColumns(s *[16]byte) {
 func invMixColumns(s *[16]byte) {
 	for c := 0; c < 4; c++ {
 		a0, a1, a2, a3 := s[4*c], s[4*c+1], s[4*c+2], s[4*c+3]
-		s[4*c+0] = mul14[a0] ^ mul11[a1] ^ mul13[a2] ^ mul9[a3] //secmemlint:ignore cttiming models the hardware engine's combinational InvMixColumns network; software table timing out of scope
-		s[4*c+1] = mul9[a0] ^ mul14[a1] ^ mul11[a2] ^ mul13[a3] //secmemlint:ignore cttiming models the hardware engine's combinational InvMixColumns network; software table timing out of scope
-		s[4*c+2] = mul13[a0] ^ mul9[a1] ^ mul14[a2] ^ mul11[a3] //secmemlint:ignore cttiming models the hardware engine's combinational InvMixColumns network; software table timing out of scope
-		s[4*c+3] = mul11[a0] ^ mul13[a1] ^ mul9[a2] ^ mul14[a3] //secmemlint:ignore cttiming models the hardware engine's combinational InvMixColumns network; software table timing out of scope
+		s[4*c+0] = mul14[a0] ^ mul11[a1] ^ mul13[a2] ^ mul9[a3]
+		s[4*c+1] = mul9[a0] ^ mul14[a1] ^ mul11[a2] ^ mul13[a3]
+		s[4*c+2] = mul13[a0] ^ mul9[a1] ^ mul14[a2] ^ mul11[a3]
+		s[4*c+3] = mul11[a0] ^ mul13[a1] ^ mul9[a2] ^ mul14[a3]
 	}
 }
 

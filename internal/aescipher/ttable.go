@@ -52,19 +52,19 @@ func (c *Cipher) encryptBlockFast(dst, src []byte) {
 	s3 ^= xk[3]
 	k := 4
 	for r := 1; r < c.rounds; r++ {
-		t0 := te0[s0>>24] ^ te1[s1>>16&0xff] ^ te2[s2>>8&0xff] ^ te3[s3&0xff] ^ xk[k]   //secmemlint:ignore cttiming models the hardware engine's combinational round logic; software table timing out of scope
-		t1 := te0[s1>>24] ^ te1[s2>>16&0xff] ^ te2[s3>>8&0xff] ^ te3[s0&0xff] ^ xk[k+1] //secmemlint:ignore cttiming models the hardware engine's combinational round logic; software table timing out of scope
-		t2 := te0[s2>>24] ^ te1[s3>>16&0xff] ^ te2[s0>>8&0xff] ^ te3[s1&0xff] ^ xk[k+2] //secmemlint:ignore cttiming models the hardware engine's combinational round logic; software table timing out of scope
-		t3 := te0[s3>>24] ^ te1[s0>>16&0xff] ^ te2[s1>>8&0xff] ^ te3[s2&0xff] ^ xk[k+3] //secmemlint:ignore cttiming models the hardware engine's combinational round logic; software table timing out of scope
+		t0 := te0[s0>>24] ^ te1[s1>>16&0xff] ^ te2[s2>>8&0xff] ^ te3[s3&0xff] ^ xk[k]
+		t1 := te0[s1>>24] ^ te1[s2>>16&0xff] ^ te2[s3>>8&0xff] ^ te3[s0&0xff] ^ xk[k+1]
+		t2 := te0[s2>>24] ^ te1[s3>>16&0xff] ^ te2[s0>>8&0xff] ^ te3[s1&0xff] ^ xk[k+2]
+		t3 := te0[s3>>24] ^ te1[s0>>16&0xff] ^ te2[s1>>8&0xff] ^ te3[s2&0xff] ^ xk[k+3]
 		s0, s1, s2, s3 = t0, t1, t2, t3
 		k += 4
 	}
 	// Final round: SubBytes and ShiftRows only (no MixColumns), straight
 	// from the S-box.
-	t0 := uint32(sbox[s0>>24])<<24 | uint32(sbox[s1>>16&0xff])<<16 | uint32(sbox[s2>>8&0xff])<<8 | uint32(sbox[s3&0xff]) //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope
-	t1 := uint32(sbox[s1>>24])<<24 | uint32(sbox[s2>>16&0xff])<<16 | uint32(sbox[s3>>8&0xff])<<8 | uint32(sbox[s0&0xff]) //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope
-	t2 := uint32(sbox[s2>>24])<<24 | uint32(sbox[s3>>16&0xff])<<16 | uint32(sbox[s0>>8&0xff])<<8 | uint32(sbox[s1&0xff]) //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope
-	t3 := uint32(sbox[s3>>24])<<24 | uint32(sbox[s0>>16&0xff])<<16 | uint32(sbox[s1>>8&0xff])<<8 | uint32(sbox[s2&0xff]) //secmemlint:ignore cttiming models the hardware engine's combinational S-box; software table timing out of scope
+	t0 := uint32(sbox[s0>>24])<<24 | uint32(sbox[s1>>16&0xff])<<16 | uint32(sbox[s2>>8&0xff])<<8 | uint32(sbox[s3&0xff])
+	t1 := uint32(sbox[s1>>24])<<24 | uint32(sbox[s2>>16&0xff])<<16 | uint32(sbox[s3>>8&0xff])<<8 | uint32(sbox[s0&0xff])
+	t2 := uint32(sbox[s2>>24])<<24 | uint32(sbox[s3>>16&0xff])<<16 | uint32(sbox[s0>>8&0xff])<<8 | uint32(sbox[s1&0xff])
+	t3 := uint32(sbox[s3>>24])<<24 | uint32(sbox[s0>>16&0xff])<<16 | uint32(sbox[s1>>8&0xff])<<8 | uint32(sbox[s2&0xff])
 	t0 ^= xk[k]
 	t1 ^= xk[k+1]
 	t2 ^= xk[k+2]

@@ -136,7 +136,7 @@ func (d *DRAM) ReadBlock(addr uint64, dst []byte) {
 // WriteBlock stores the 64-byte block at addr (functional mode only).
 func (d *DRAM) WriteBlock(addr uint64, src []byte) {
 	d.checkAddr(addr)
-	if d.blocks == nil { //secmemlint:ignore cttiming nil-ness of the functional store is configuration, independent of the block contents being written
+	if d.blocks == nil {
 		panic("dram: functional store disabled")
 	}
 	b, ok := d.blocks[addr]

@@ -63,7 +63,7 @@ func (e Element) Mul(o Element) Element {
 		} else {
 			bit = e.Lo >> (127 - i) & 1
 		}
-		if bit == 1 { //secmemlint:ignore cttiming models the single-cycle hardware GF multiplier; software bit-serial timing out of scope
+		if bit == 1 {
 			z = z.Xor(v)
 		}
 		// v = v * x: right shift in GCM bit order, reduce by R if the
@@ -71,7 +71,7 @@ func (e Element) Mul(o Element) Element {
 		lsb := v.Lo & 1
 		v.Lo = v.Lo>>1 | v.Hi<<63
 		v.Hi >>= 1
-		if lsb == 1 { //secmemlint:ignore cttiming models the single-cycle hardware GF multiplier; software bit-serial timing out of scope
+		if lsb == 1 {
 			v.Hi ^= 0xe100000000000000 // R = 11100001 || 0^120
 		}
 	}

@@ -40,7 +40,7 @@ func mulX(e Element) Element {
 	lsb := e.Lo & 1
 	e.Lo = e.Lo>>1 | e.Hi<<63
 	e.Hi >>= 1
-	if lsb == 1 { //secmemlint:ignore cttiming models the combinational GF multiplier's reduction mux; software bit timing out of scope
+	if lsb == 1 {
 		e.Hi ^= 0xe100000000000000
 	}
 	return e
@@ -86,8 +86,8 @@ func (e Element) MulTable8(t *ProductTable8) Element {
 			lsb := z.Lo & 0xff
 			z.Lo = z.Lo>>8 | z.Hi<<56
 			z.Hi >>= 8
-			z.Hi ^= reduce8[lsb] //secmemlint:ignore cttiming models the hardware multiplier's reduction network; software table timing out of scope
-			p := &t.m[word&0xff] //secmemlint:ignore cttiming models the hardware multiplier's partial-product mux; software table timing out of scope
+			z.Hi ^= reduce8[lsb]
+			p := &t.m[word&0xff]
 			z.Hi ^= p.Hi
 			z.Lo ^= p.Lo
 			word >>= 8

@@ -40,7 +40,6 @@ func (r *Runner) sweep(mk func() []config.SystemConfig, labels []string) []Ablat
 	benches := r.Opt.benches()
 	cfgs := mk()
 	rows := make([]AblationRow, len(cfgs))
-	var mu sync.Mutex
 	type job struct{ ci, bi int }
 	var jobs []job
 	for ci := range cfgs {
@@ -75,20 +74,24 @@ func (r *Runner) sweep(mk func() []config.SystemConfig, labels []string) []Ablat
 		baseMu.Unlock()
 		return v
 	}
+	outs := make([]RunOut, len(jobs))
+	norms := make([]float64, len(jobs))
 	r.parallelFor(len(jobs), func(i int) {
 		j := jobs[i]
-		out := r.Run(benches[j.bi], cfgs[j.ci])
-		norm := out.IPC / baselineFor(benches[j.bi], cfgs[j.ci])
-		mu.Lock()
-		s := &sums[j.ci]
-		s.ipc = append(s.ipc, norm)
-		s.reencs += out.RSR.PageReencs
-		s.stalls += uint64(out.RSR.StallCycles)
-		if out.RSR.PageReencs > 0 {
-			s.cycles = append(s.cycles, out.RSR.MeanCycles())
-		}
-		mu.Unlock()
+		outs[i] = r.Run(benches[j.bi], cfgs[j.ci])
+		norms[i] = outs[i].IPC / baselineFor(benches[j.bi], cfgs[j.ci])
 	})
+	// Reduced in job order after the join, so each configuration's means
+	// sum its benchmarks in campaign order whatever the scheduling.
+	for i, j := range jobs {
+		s := &sums[j.ci]
+		s.ipc = append(s.ipc, norms[i])
+		s.reencs += outs[i].RSR.PageReencs
+		s.stalls += uint64(outs[i].RSR.StallCycles)
+		if outs[i].RSR.PageReencs > 0 {
+			s.cycles = append(s.cycles, outs[i].RSR.MeanCycles())
+		}
+	}
 	for ci := range cfgs {
 		rows[ci] = AblationRow{
 			Label:       labels[ci],

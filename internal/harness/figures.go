@@ -262,28 +262,29 @@ type Fig6aResult struct {
 func (r *Runner) Fig6a() (stats.Table, Fig6aResult) {
 	r.WarmBaselines()
 	benches := r.Opt.benches()
-	var mu sync.Mutex
-	var hit, hitHalf, timelySplit, ipcSplit []float64
-	var pred1Rate, timely1, ipc1 []float64
-	var timely2, ipc2 []float64
+	// Per-bench slots, averaged in bench order after the join: float
+	// addition is not associative, so appending in completion order would
+	// make the averages depend on scheduling.
+	n := len(benches)
+	hit, hitHalf, timelySplit, ipcSplit := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	pred1Rate, timely1, ipc1 := make([]float64, n), make([]float64, n), make([]float64, n)
+	timely2, ipc2 := make([]float64, n), make([]float64, n)
 	splitCfg := EncOnly(config.EncCounterSplit, 64)
-	r.parallelFor(len(benches), func(i int) {
+	r.parallelFor(n, func(i int) {
 		b := benches[i]
 		out := r.Run(b, splitCfg)
 		base := r.Baseline(b)
 		p1res, p1 := r.RunPredictor(b, 1)
 		p2res, p2 := r.RunPredictor(b, 2)
-		mu.Lock()
-		hit = append(hit, out.CtrHitRate())
-		hitHalf = append(hitHalf, out.CtrHitPlusHalf())
-		timelySplit = append(timelySplit, out.TimelyPadRate())
-		ipcSplit = append(ipcSplit, out.IPC/base)
-		pred1Rate = append(pred1Rate, p1.PredictionRate())
-		timely1 = append(timely1, p1.TimelyPadRate())
-		ipc1 = append(ipc1, p1res.IPC()/base)
-		timely2 = append(timely2, p2.TimelyPadRate())
-		ipc2 = append(ipc2, p2res.IPC()/base)
-		mu.Unlock()
+		hit[i] = out.CtrHitRate()
+		hitHalf[i] = out.CtrHitPlusHalf()
+		timelySplit[i] = out.TimelyPadRate()
+		ipcSplit[i] = out.IPC / base
+		pred1Rate[i] = p1.PredictionRate()
+		timely1[i] = p1.TimelyPadRate()
+		ipc1[i] = p1res.IPC() / base
+		timely2[i] = p2.TimelyPadRate()
+		ipc2[i] = p2res.IPC() / base
 	})
 	res := Fig6aResult{
 		SNCHit:         stats.Mean(hit),
@@ -315,9 +316,9 @@ func (r *Runner) Fig6b(windows int) (stats.Table, [][2]float64) {
 	}
 	benches := r.Opt.benches()
 	chunk := r.Opt.Instructions / uint64(windows)
-	splitRates := make([][]float64, windows)
-	predRates := make([][]float64, windows)
-	var mu sync.Mutex
+	// Per-bench windows, averaged in bench order after the join (see Fig6a).
+	splitRates := make([][]float64, len(benches))
+	predRates := make([][]float64, len(benches))
 	r.parallelFor(len(benches), func(bi int) {
 		b := benches[bi]
 		// Split machine, windowed counter-cache stats.
@@ -356,12 +357,7 @@ func (r *Runner) Fig6b(windows int) (stats.Table, [][2]float64) {
 			st := psys.SnapshotStats()
 			pRates[w] = st.PredictionRate()
 		}
-		mu.Lock()
-		for w := 0; w < windows; w++ {
-			splitRates[w] = append(splitRates[w], sRates[w])
-			predRates[w] = append(predRates[w], pRates[w])
-		}
-		mu.Unlock()
+		splitRates[bi], predRates[bi] = sRates, pRates
 	})
 	tbl := stats.Table{
 		Title: "Figure 6(b): Prediction and counter cache hit rate trends",
@@ -369,8 +365,11 @@ func (r *Runner) Fig6b(windows int) (stats.Table, [][2]float64) {
 	}
 	series := make([][2]float64, windows)
 	for w := 0; w < windows; w++ {
-		s := stats.Mean(splitRates[w])
-		p := stats.Mean(predRates[w])
+		sw, pw := make([]float64, len(benches)), make([]float64, len(benches))
+		for bi := range benches {
+			sw[bi], pw[bi] = splitRates[bi][w], predRates[bi][w]
+		}
+		s, p := stats.Mean(sw), stats.Mean(pw)
 		series[w] = [2]float64{s, p}
 		tbl.AddRow(fmt.Sprintf("%d", w+1), stats.Pct(s), stats.Pct(p))
 	}
@@ -500,15 +499,6 @@ type ScalarsResult struct {
 // being measured.
 func (r *Runner) Scalars() (stats.Table, ScalarsResult) {
 	benches := r.Opt.benches()
-	var mu sync.Mutex
-	var onchip, meancyc []float64
-	// Per-bench rate contributions, reduced in bench order after the join:
-	// float addition is not associative, so accumulating across workers in
-	// completion order would make the scalars interleaving-dependent.
-	splitContrib := make([]float64, len(benches))
-	monoContrib := make([]float64, len(benches))
-	maxConc := 0
-	var stalls, reencs uint64
 	// The stressed configuration: 4-bit minors and a small L2 (so the hot
 	// write set actually cycles through memory) make page re-encryptions
 	// happen at campaign scale.
@@ -517,11 +507,21 @@ func (r *Runner) Scalars() (stats.Table, ScalarsResult) {
 	// The rate-measurement configuration is the paper's default.
 	rateCfg := EncOnly(config.EncCounterSplit, 64)
 	memBlocks := float64(rateCfg.MemBytes / 64)
+	stressOuts := make([]RunOut, len(benches))
+	rateOuts := make([]RunOut, len(benches))
 	r.parallelFor(len(benches), func(i int) {
-		b := benches[i]
-		stress := r.Run(b, stressCfg)
-		rate := r.Run(b, rateCfg)
-		mu.Lock()
+		stressOuts[i] = r.Run(benches[i], stressCfg)
+		rateOuts[i] = r.Run(benches[i], rateCfg)
+	})
+	// Reduced in bench order after the join: float addition is not
+	// associative, so accumulating across workers in completion order
+	// would make the scalars interleaving-dependent.
+	var onchip, meancyc []float64
+	maxConc := 0
+	var stalls, reencs uint64
+	var splitRate, monoRate float64 // re-encrypted blocks per second
+	for i := range benches {
+		stress, rate := stressOuts[i], rateOuts[i]
 		if stress.RSR.PageReencs > 0 {
 			onchip = append(onchip, stress.RSR.OnChipFraction())
 			meancyc = append(meancyc, stress.RSR.MeanCycles())
@@ -537,15 +537,9 @@ func (r *Runner) Scalars() (stats.Table, ScalarsResult) {
 			for _, f := range rate.PageFastestIncrs {
 				split += float64(f) / 128 * 64 / rate.Seconds
 			}
-			splitContrib[i] = split
-			monoContrib[i] = float64(rate.FastestIncr) / 256 * memBlocks / rate.Seconds
+			splitRate += split
+			monoRate += float64(rate.FastestIncr) / 256 * memBlocks / rate.Seconds
 		}
-		mu.Unlock()
-	})
-	var splitRate, monoRate float64 // re-encrypted blocks per second
-	for i := range benches {
-		splitRate += splitContrib[i]
-		monoRate += monoContrib[i]
 	}
 	res := ScalarsResult{
 		OnChipFraction:  stats.Mean(onchip),

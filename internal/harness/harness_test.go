@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"encoding/json"
 	"runtime"
 	"testing"
 
@@ -151,27 +152,59 @@ func TestPredictorRun(t *testing.T) {
 	}
 }
 
+// TestParallelismDoesNotChangeResults runs every campaign shape with a
+// worker body (normGrid via Fig5, Table2, Fig6a, Fig6b, Scalars, and sweep
+// via an ablation) serially and on four workers and requires the same
+// canonical JSON. With more than two benchmarks, a float reduction taken
+// in completion order would not be associative. Under -race this test is
+// the guard for the worker bodies' locking, so it must not depend on the
+// host's CPU count.
 func TestParallelismDoesNotChangeResults(t *testing.T) {
-	// Runs are independent simulations; fanning them across goroutines must
-	// not change any number.
-	mk := func(par int) FigData {
-		r := New(Options{
-			Instructions: 200_000,
-			Seed:         1,
-			Benches:      []string{"swim", "crafty"},
-			Parallelism:  par,
-		})
-		_, data := r.Fig5()
-		return data
+	// The race detector reports only accesses the schedule leaves
+	// unordered. With one P and short jobs, workers run one at a time and
+	// the pool's channel hand-offs order every access, hiding a missing
+	// lock. Four Ps make the workers overlap even when the test binary runs
+	// with GOMAXPROCS=1.
+	if runtime.GOMAXPROCS(0) < 4 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	}
-	serial := mk(1)
-	parallel := mk(4)
-	for scheme, row := range serial {
-		for bench, v := range row {
-			if parallel[scheme][bench] != v {
-				t.Errorf("%s/%s: serial %v != parallel %v", scheme, bench, v, parallel[scheme][bench])
+	cases := []struct {
+		name string
+		run  func(r *Runner) any
+	}{
+		{"Fig5", func(r *Runner) any { _, d := r.Fig5(); return d }},
+		// Table2's overflow times can be +Inf, which JSON cannot encode;
+		// the rendered table carries both the rates and the times.
+		{"Table2", func(r *Runner) any { tbl, _ := r.Table2(); return tbl }},
+		{"Fig6a", func(r *Runner) any { _, res := r.Fig6a(); return res }},
+		{"Fig6b", func(r *Runner) any { _, s := r.Fig6b(4); return s }},
+		{"Scalars", func(r *Runner) any { _, res := r.Scalars(); return res }},
+		{"AblateMonoCharge", func(r *Runner) any { _, rows := r.AblateMonoCharge(); return rows }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			mk := func(par int) string {
+				r := New(Options{
+					Instructions: 10_000,
+					Seed:         1,
+					Benches:      []string{"swim", "mcf", "crafty", "art", "gcc", "twolf"},
+					Parallelism:  par,
+				})
+				raw, err := json.Marshal(c.run(r)) // map keys marshal sorted
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(raw)
 			}
-		}
+			serial := mk(1)
+			// Whether the race detector sees a missing lock depends on how
+			// the workers happened to overlap; three runs make a miss rare.
+			for rep := 0; rep < 3; rep++ {
+				if parallel := mk(4); parallel != serial {
+					t.Fatalf("serial and parallel runs differ:\nserial   %s\nparallel %s", serial, parallel)
+				}
+			}
+		})
 	}
 }
 

@@ -2,65 +2,47 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 )
 
-// SharedState is the first concurrency gate for the ROADMAP's parallel
-// event-driven simulator core: any variable or field reached from more
-// than one goroutine must be mutex-guarded on every access path or
-// accessed via sync/atomic. The analyzer finds "concurrent bodies" —
-// function literals that may run on another goroutine — and flags
-// unguarded writes to captured or package-level state inside them, plus
-// unguarded reads of state some concurrent body writes.
-//
-// Concurrent bodies are discovered module-wide, not just at `go`
-// statements, because the repo's parallelism is funneled through worker
-// pools: a literal passed to harness.parallelFor runs on a worker
-// goroutine even though no `go` keyword appears at the call site. The
-// propagation rules: (1) a literal in a `go` statement is concurrent; (2)
-// a function-typed parameter, variable, or field mentioned inside a
-// concurrent body is "hot", and every literal bound to a hot object
-// (assignment, composite literal, or call argument) is concurrent — this
-// covers worker-pool submissions, locally stored closures invoked from a
-// goroutine, and callbacks parked in fields; (3) literals nested inside a
-// concurrent body are concurrent; (4) a named function launched with `go
-// f()` has its package-variable accesses treated as concurrent.
-//
-// Exemptions, each matching an intended sharing idiom: channels and sync/
-// sync-atomic values (their whole point), function values that are only
-// read, read-only captures (nothing writes them concurrently), and
-// writes to distinct slice/array elements (`out[i] = v` — the
-// partitioned parallel-for idiom where each worker owns index i).
-// Guardedness is lexical: the access must sit between Lock and Unlock of
-// some mutex in the same body (lockdiscipline.go's interval model).
-var SharedState = &Analyzer{
-	Name: "sharedstate",
-	Doc:  "state reached from more than one goroutine must be mutex-guarded or atomic",
-	Run:  runSharedState,
+// This file discovers "concurrent bodies", the function literals and
+// named functions that may run on another goroutine, for determinism's
+// float-merge rule. Discovery is module-wide, not just at `go` statements,
+// because the repo's parallelism is funneled through a worker pool: a
+// literal passed to harness.parallelFor runs on a worker goroutine even
+// though no `go` keyword appears at the call site. The propagation rules:
+// (1) a literal in a `go` statement is concurrent; (2) a function-typed
+// parameter, variable, or field mentioned inside a concurrent body is
+// "hot", and every literal bound to a hot object (assignment, composite
+// literal, or call argument) is concurrent — this covers worker-pool
+// submissions, locally stored closures invoked from a goroutine, and
+// callbacks parked in fields; (3) literals nested inside a concurrent body
+// are concurrent; (4) a named function launched with `go f()` is
+// concurrent.
+
+// concurrency is the result of the discovery, computed once per Run.
+type concurrency struct {
+	scan      *litScan
+	conc      map[*ast.FuncLit]bool
+	concFuncs map[*types.Func]bool
 }
 
-// sharedAnalysis is the module-wide result, computed once per Run and
-// cached on the interprocedural state; each package pass then emits only
-// its own findings.
-type sharedAnalysis struct {
-	findings map[*Package][]sharedFinding
-}
-
-type sharedFinding struct {
-	pos token.Pos
-	msg string
+func (ip *interproc) concurrency() *concurrency {
+	if ip.conc == nil {
+		scan := scanLiterals(ip)
+		c, cf := propagateConcurrency(scan)
+		ip.conc = &concurrency{scan: scan, conc: c, concFuncs: cf}
+	}
+	return ip.conc
 }
 
 // litScan is the module-wide scan feeding the concurrent-body fixpoint.
 type litScan struct {
 	// pkgOf maps each literal to its package; parent maps nested literals
 	// to their innermost enclosing literal (nil = declared at function
-	// level); declOf maps literals to their enclosing named function.
+	// level).
 	pkgOf  map[*ast.FuncLit]*Package
 	parent map[*ast.FuncLit]*ast.FuncLit
-	declOf map[*ast.FuncLit]*types.Func
 	// goLits are literals launched directly by a go statement.
 	goLits map[*ast.FuncLit]bool
 	// goFuncs are named module functions launched by a go statement.
@@ -78,155 +60,6 @@ type litScan struct {
 	declMentions map[types.Object][]*types.Func
 }
 
-func runSharedState(pass *Pass) {
-	ip := pass.secrets.interp
-	if ip == nil {
-		return
-	}
-	if ip.shared == nil {
-		ip.shared = analyzeSharedState(ip)
-	}
-	for _, f := range ip.shared.findings[pass.Pkg] {
-		pass.Reportf(f.pos, "%s", f.msg)
-	}
-}
-
-func analyzeSharedState(ip *interproc) *sharedAnalysis {
-	cc := ip.concurrency()
-	scan, conc, concFuncs := cc.scan, cc.conc, cc.concFuncs
-
-	// Order concurrent bodies deterministically by position.
-	type body struct {
-		pkg  *Package
-		node ast.Node       // *ast.FuncLit or *ast.FuncDecl body owner
-		blk  *ast.BlockStmt // the body to scan
-		// globalsOnly: named functions launched with `go f()` have no
-		// captures; only package variables are shared.
-		globalsOnly bool
-	}
-	var bodies []body
-	for lit := range conc {
-		bodies = append(bodies, body{pkg: scan.pkgOf[lit], node: lit, blk: lit.Body})
-	}
-	for fn := range concFuncs {
-		if decl := ip.graph.decls[fn]; decl != nil {
-			bodies = append(bodies, body{pkg: ip.graph.pkgOf[fn], node: decl, blk: decl.Body, globalsOnly: true})
-		}
-	}
-	sort.Slice(bodies, func(i, j int) bool { return bodies[i].blk.Pos() < bodies[j].blk.Pos() })
-
-	type access struct {
-		body    int
-		pkg     *Package
-		obj     types.Object
-		pos     token.Pos
-		write   bool
-		guarded bool
-	}
-	var accesses []access
-	written := make(map[types.Object]bool)
-
-	for bi, b := range bodies {
-		info := b.pkg.Info
-		intervals := lockIntervals(info, b.blk)
-		guarded := func(pos token.Pos) bool {
-			for _, iv := range intervals {
-				if iv.contains(pos) {
-					return true
-				}
-			}
-			return false
-		}
-		shared := func(obj types.Object) bool {
-			v, ok := obj.(*types.Var)
-			if !ok || v.IsField() {
-				return false
-			}
-			if sharedExemptType(v.Type()) {
-				return false
-			}
-			if v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
-				return true // package-level variable
-			}
-			if b.globalsOnly {
-				return false
-			}
-			// Captured: declared outside this literal but used inside it.
-			return v.Pos() < b.blk.Pos() || v.Pos() > b.blk.End()
-		}
-		writeRoots := make(map[*ast.Ident]bool)
-		inspectSkipFuncLits(b.blk, func(n ast.Node) {
-			var targets []ast.Expr
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				targets = n.Lhs
-			case *ast.IncDecStmt:
-				targets = []ast.Expr{n.X}
-			default:
-				return
-			}
-			for _, t := range targets {
-				id, element := writeRoot(info, t)
-				if id == nil {
-					continue
-				}
-				writeRoots[id] = true
-				if element {
-					continue // out[i] = v: each worker owns its index
-				}
-				obj := info.Uses[id]
-				if obj == nil {
-					obj = info.Defs[id]
-				}
-				if obj == nil || !shared(obj) {
-					continue
-				}
-				written[obj] = true
-				accesses = append(accesses, access{
-					body: bi, pkg: b.pkg, obj: obj, pos: id.Pos(),
-					write: true, guarded: guarded(id.Pos()),
-				})
-			}
-		})
-		inspectSkipFuncLits(b.blk, func(n ast.Node) {
-			id, ok := n.(*ast.Ident)
-			if !ok || writeRoots[id] {
-				return
-			}
-			obj := info.Uses[id]
-			if obj == nil || !shared(obj) {
-				return
-			}
-			if _, isFunc := obj.Type().Underlying().(*types.Signature); isFunc {
-				return // calling a captured func value is a read-only use
-			}
-			accesses = append(accesses, access{
-				body: bi, pkg: b.pkg, obj: obj, pos: id.Pos(),
-				guarded: guarded(id.Pos()),
-			})
-		})
-	}
-
-	res := &sharedAnalysis{findings: make(map[*Package][]sharedFinding)}
-	for _, a := range accesses {
-		if a.guarded {
-			continue
-		}
-		if a.write {
-			res.findings[a.pkg] = append(res.findings[a.pkg], sharedFinding{
-				pos: a.pos,
-				msg: "write to " + a.obj.Name() + ", which is reachable from more than one goroutine, is not mutex-guarded; hold one mutex around every access or use sync/atomic",
-			})
-		} else if written[a.obj] {
-			res.findings[a.pkg] = append(res.findings[a.pkg], sharedFinding{
-				pos: a.pos,
-				msg: "read of " + a.obj.Name() + ", which another goroutine writes, is not mutex-guarded; hold the writer's mutex around every access path",
-			})
-		}
-	}
-	return res
-}
-
 // scanLiterals walks every module function once, recording function
 // literals, go statements, bindings of literals to function-typed
 // objects, hotness hand-offs at call sites, and mentions of function-typed
@@ -235,7 +68,6 @@ func scanLiterals(ip *interproc) *litScan {
 	s := &litScan{
 		pkgOf:        make(map[*ast.FuncLit]*Package),
 		parent:       make(map[*ast.FuncLit]*ast.FuncLit),
-		declOf:       make(map[*ast.FuncLit]*types.Func),
 		goLits:       make(map[*ast.FuncLit]bool),
 		goFuncs:      make(map[*types.Func]bool),
 		goVars:       make(map[types.Object]bool),
@@ -312,7 +144,6 @@ func scanLiterals(ip *interproc) *litScan {
 					if m != n {
 						s.pkgOf[m] = pkg
 						s.parent[m] = enclosing
-						s.declOf[m] = fn
 						walk(m.Body, m)
 						return false
 					}
@@ -330,7 +161,6 @@ func scanLiterals(ip *interproc) *litScan {
 								s.goVars[obj] = true
 							}
 						}
-						_ = fun
 					}
 				case *ast.Ident:
 					if obj := info.Uses[m]; obj != nil {
@@ -380,7 +210,7 @@ func scanLiterals(ip *interproc) *litScan {
 }
 
 // propagateConcurrency runs the hot-object/concurrent-literal fixpoint
-// described on SharedState.
+// described at the top of this file.
 func propagateConcurrency(s *litScan) (map[*ast.FuncLit]bool, map[*types.Func]bool) {
 	conc := make(map[*ast.FuncLit]bool, len(s.goLits))
 	hot := make(map[types.Object]bool, len(s.goVars))
@@ -469,9 +299,7 @@ func propagateConcurrency(s *litScan) (map[*ast.FuncLit]bool, map[*types.Func]bo
 }
 
 // writeRoot resolves an assignment target to its root identifier, also
-// reporting whether the write lands in a slice or array element (the
-// partitioned parallel-for idiom: workers writing out[i] each own index
-// i, so element writes are exempt from guarding; map writes are not).
+// reporting whether the write lands in a slice or array element.
 func writeRoot(info *types.Info, e ast.Expr) (*ast.Ident, bool) {
 	element := false
 	for {
@@ -494,23 +322,4 @@ func writeRoot(info *types.Info, e ast.Expr) (*ast.Ident, bool) {
 			return nil, false
 		}
 	}
-}
-
-// sharedExemptType reports types whose sharing is the intended usage:
-// channels and the sync / sync/atomic primitives.
-func sharedExemptType(t types.Type) bool {
-	if _, ok := t.Underlying().(*types.Chan); ok {
-		return true
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if n, ok := t.(*types.Named); ok {
-		if pkg := n.Obj().Pkg(); pkg != nil {
-			if path := pkg.Path(); path == "sync" || path == "sync/atomic" {
-				return true
-			}
-		}
-	}
-	return false
 }

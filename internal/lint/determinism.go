@@ -35,10 +35,12 @@ import (
 //     Accumulate into worker-local state and reduce in a fixed order
 //     after the join instead.
 //
-// Lexical soundness caveat (mirrors sharedstate's): rule 1 sees appends
-// and sink calls written directly in the range body; an append hidden
-// behind a locally bound closure called from the loop is not attributed
-// to the loop.
+// Lexical soundness caveats: rule 1 sees appends and sink calls written
+// directly in the range body; an append hidden behind a locally bound
+// closure called from the loop is not attributed to the loop. Rule 3 sees
+// accumulation, not collection: floats appended in completion order and
+// averaged after the join escape it, and the harness's serial-versus-
+// parallel comparison test catches those instead.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "no map-order, wall-clock, or float-merge nondeterminism in simulation outputs",
@@ -61,7 +63,7 @@ func runDeterminism(pass *Pass) {
 	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
-		funcBodies(f, func(body *ast.BlockStmt, where string) {
+		funcBodies(f, func(body *ast.BlockStmt) {
 			checkMapRanges(pass, info, body)
 		})
 	}
@@ -236,7 +238,7 @@ func internalPath(path string) bool {
 }
 
 // checkFloatMerge applies rule 3 over the module-wide concurrent-body sets
-// (shared with sharedstate via the interproc cache).
+// (concurrency.go), computed once per Run.
 func checkFloatMerge(pass *Pass) {
 	ip := pass.secrets.interp
 	cc := ip.concurrency()
@@ -322,4 +324,43 @@ func floatType(t types.Type) bool {
 	}
 	b, ok := t.Underlying().(*types.Basic)
 	return ok && b.Info()&types.IsFloat != 0
+}
+
+// funcBodies yields every function-like body in a file — each FuncDecl body
+// and each FuncLit body — exactly once, with nested literals excluded from
+// their enclosing body's walk.
+func funcBodies(f *ast.File, visit func(body *ast.BlockStmt)) {
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		visit(fn.Body)
+		walkBody(fn.Body, visit)
+	}
+}
+
+func walkBody(body *ast.BlockStmt, visit func(*ast.BlockStmt)) {
+	inspectSkipFuncLits(body, func(n ast.Node) {
+		if lit, ok := n.(*ast.FuncLit); ok {
+			visit(lit.Body)
+			walkBody(lit.Body, visit)
+		}
+	})
+}
+
+// inspectSkipFuncLits walks body's own statements, invoking f for every
+// node including FuncLit nodes themselves but not their contents.
+func inspectSkipFuncLits(body *ast.BlockStmt, f func(ast.Node)) {
+	ast.Inspect(body, func(n ast.Node) bool {
+		if n == nil {
+			return false
+		}
+		if lit, ok := n.(*ast.FuncLit); ok {
+			f(lit)
+			return false
+		}
+		f(n)
+		return true
+	})
 }

@@ -36,12 +36,12 @@ func fuzzPackage(t *testing.T, src string) *Package {
 }
 
 func FuzzCollectIgnores(f *testing.F) {
-	f.Add("//secmemlint:ignore cttiming models combinational hardware\nvar x int")
+	f.Add("//secmemlint:ignore verifydrop the simulator records tampers\nvar x int")
 	f.Add("var x int //secmemlint:ignore secretflow demo output is public")
-	f.Add("//secmemlint:ignore maccompare")                // no reason: must not register
-	f.Add("//secmemlint:ignore a,b reason words")          // multi-analyzer
-	f.Add("// secmemlint:ignore\tcttiming\ttabbed reason") // whitespace forms
-	f.Add("//secmemlint:ignorecttiming glued prefix")
+	f.Add("//secmemlint:ignore maccompare")                  // no reason: must not register
+	f.Add("//secmemlint:ignore a,b reason words")            // multi-analyzer
+	f.Add("// secmemlint:ignore\tverifydrop\ttabbed reason") // whitespace forms
+	f.Add("//secmemlint:ignoreverifydrop glued prefix")
 	f.Fuzz(func(t *testing.T, body string) {
 		pkg := fuzzPackage(t, "package p\n"+body+"\n")
 		set := collectIgnores(pkg)

@@ -6,25 +6,25 @@ import (
 )
 
 // GlobalMut bans mutable package-level state in the simulator-core
-// packages. The ROADMAP's parallel event-driven core shards the memory
-// system across worker goroutines and instantiates multiple tenants in
-// one process; any package-level variable in those packages is state
-// silently shared by every shard and tenant — a data race at worst and a
-// cross-tenant covert channel at best. Constants, error sentinels
-// (immutable by convention), and the blank identifier are fine; anything
-// else must live on a struct the caller owns.
+// packages. The campaign harness runs many machines at once, one per
+// worker goroutine; any package-level variable in those packages is state
+// silently shared by every machine — a data race at worst, and at best a
+// run whose numbers depend on which runs came before it. Constants, error
+// sentinels (immutable by convention), and the blank identifier are fine;
+// anything else must live on a struct the caller owns.
 //
-// The package set mirrors ISSUE/ROADMAP: sim, core, engine, cache,
+// The package set is the machine itself: sim, core, engine, cache,
 // counterstore, merkle. Packages outside the set (harness, obsv, lint
-// itself) may keep globals — they run on the coordinator, not in shards.
+// itself) may keep globals — they build and drive machines, and are not
+// instantiated once per run.
 var GlobalMut = &Analyzer{
 	Name: "globalmut",
 	Doc:  "no mutable package-level state in the simulator-core packages",
 	Run:  runGlobalMut,
 }
 
-// globalMutPackages are the final path segments of the shard-instantiable
-// core packages.
+// globalMutPackages are the final path segments of the per-machine core
+// packages.
 var globalMutPackages = []string{"sim", "core", "engine", "cache", "counterstore", "merkle"}
 
 func runGlobalMut(pass *Pass) {

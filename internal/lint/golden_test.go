@@ -25,13 +25,9 @@ func TestGoldenFixtures(t *testing.T) {
 		{VerifyDrop, []string{"verifydrop"}},
 		{SliceRetain, []string{"sliceretain/gcmmode", "sliceretain/plain"}},
 		{SecretFlow, []string{"secretflow/leaky", "secretflow/clean", "secretflow/interproc"}},
-		{CTTiming, []string{"cttiming/branchy", "cttiming/clean", "cttiming/interproc"}},
 		{TaintEscape, []string{"taintescape/alias", "taintescape/clean"}},
-		{SharedState, []string{"sharedstate/racy", "sharedstate/clean"}},
-		{LockDiscipline, []string{"lockdiscipline/leaky", "lockdiscipline/clean"}},
 		{GlobalMut, []string{"globalmut/core", "globalmut/merkle"}},
 		{Determinism, []string{"determinism/violating", "determinism/clean"}},
-		{GoroutineLife, []string{"goroutinelife/leaky", "goroutinelife/clean"}},
 	}
 	for _, c := range cases {
 		for _, fixture := range c.fixtures {

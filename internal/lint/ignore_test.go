@@ -10,6 +10,8 @@ import (
 // ignorePlacementFixture exercises every legal and illegal placement of a
 // "//secmemlint:ignore" comment. Lines marked WANT must still be reported;
 // every other bytes.Equal call is suppressed by a correctly placed ignore.
+// A line marked "WANT ignore" holds a suppression naming no analyzer, which
+// is reported itself.
 const ignorePlacementFixture = `package fixture
 
 import "bytes"
@@ -38,11 +40,17 @@ func standaloneGap(mac, other []byte) bool {
 
 	return bytes.Equal(mac, other) // WANT
 }
+
+func unknownName(mac, other []byte) bool {
+	//secmemlint:ignore nosuch test fixture: a name outside the suite silences nothing // WANT ignore
+	return bytes.Equal(mac, other) // WANT
+}
 `
 
 // TestIgnorePlacement pins the suppression semantics: a trailing ignore
-// comment silences only its own line, and a standalone ignore comment
-// silences only the line immediately below it.
+// comment silences only its own line, a standalone ignore comment silences
+// only the line immediately below it, and an ignore naming no analyzer of
+// All() is reported even when the run selects a single analyzer.
 func TestIgnorePlacement(t *testing.T) {
 	dir := t.TempDir()
 	writeFile(t, filepath.Join(dir, "go.mod"), "module ignorefixture\n\ngo 1.22\n")
@@ -58,30 +66,33 @@ func TestIgnorePlacement(t *testing.T) {
 		}
 	}
 
-	wantLines := make(map[int]bool)
+	wantLines := make(map[int]string) // line -> analyzer
 	for i, line := range strings.Split(ignorePlacementFixture, "\n") {
-		if strings.HasSuffix(line, "// WANT") {
-			wantLines[i+1] = true
+		switch {
+		case strings.HasSuffix(line, "// WANT"):
+			wantLines[i+1] = "maccompare"
+		case strings.HasSuffix(line, "// WANT ignore"):
+			wantLines[i+1] = "ignore"
 		}
 	}
-	if len(wantLines) != 3 {
-		t.Fatalf("fixture self-check: expected 3 WANT markers, found %d", len(wantLines))
+	if len(wantLines) != 5 {
+		t.Fatalf("fixture self-check: expected 5 WANT markers, found %d", len(wantLines))
 	}
 
-	gotLines := make(map[int]bool)
+	gotLines := make(map[int]string)
 	for _, d := range Run(pkgs, []*Analyzer{MacCompare}) {
-		if gotLines[d.Line] {
+		if gotLines[d.Line] != "" {
 			t.Errorf("duplicate diagnostic on line %d", d.Line)
 		}
-		gotLines[d.Line] = true
+		gotLines[d.Line] = d.Analyzer
 	}
-	for line := range wantLines {
-		if !gotLines[line] {
-			t.Errorf("line %d: expected a maccompare finding, got none", line)
+	for line, analyzer := range wantLines {
+		if gotLines[line] != analyzer {
+			t.Errorf("line %d: expected a finding from %s, got %q", line, analyzer, gotLines[line])
 		}
 	}
 	for line := range gotLines {
-		if !wantLines[line] {
+		if wantLines[line] == "" {
 			t.Errorf("line %d: unexpected finding; a misplaced ignore failed to suppress (or suppression leaked)", line)
 		}
 	}

@@ -176,7 +176,7 @@ func fillOuter(dst, src []byte) { fillInner(dst, src) }
 	}
 	foundSink := false
 	for _, f := range outer.sinks {
-		if f.kind == secretFlowName && f.labels&paramLabel(0) != 0 {
+		if f.labels&paramLabel(0) != 0 {
 			foundSink = true
 			if !strings.Contains(f.desc, "fmt.Sprintf") {
 				t.Errorf("outer sink fact lost the ultimate sink description: %q", f.desc)

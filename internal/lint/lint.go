@@ -13,29 +13,20 @@
 //   - sliceretain: crypto constructors/setters must not alias caller []byte.
 //   - secretflow: values derived from "//secmemlint:secret" sources must not
 //     reach fmt/log/error formatting or obsv metric/trace sinks.
-//   - cttiming: no branch condition or memory index may depend on secret
-//     data (the constant-time discipline, checked statically).
 //   - taintescape: exported APIs must not return or store un-copied aliases
 //     of secret state.
-//   - sharedstate: state reached from more than one goroutine must be
-//     mutex-guarded or accessed via sync/atomic.
-//   - lockdiscipline: every Lock is released on all paths (defer
-//     preferred) and no lock is held across a blocking operation.
 //   - globalmut: no mutable package-level state in the simulator core
-//     packages, so shards and tenants stay independently instantiable.
+//     packages, so every machine is independently instantiable.
 //   - determinism: no map-iteration order, wall clock, or cross-goroutine
 //     float accumulation may reach simulation outputs.
-//   - goroutinelife: every go statement carries a provable termination
-//     signal, and spawning in a loop must be bounded (worker pools).
 //
-// secretflow, cttiming, and taintescape ride on the taint/dataflow engine
-// in taint.go, seeded by "//secmemlint:secret" annotations on the real
-// key, pad, and plaintext state across aescipher, gcmmode, gf128, and
-// core, and extended across function boundaries by the interprocedural
-// summaries of summary.go over the call graph of callgraph.go. The
-// concurrency analyzers (sharedstate, lockdiscipline, globalmut,
-// determinism, goroutinelife) are the static merge gate for concurrent
-// code: campaign workers and the live observability server.
+// secretflow and taintescape ride on the taint/dataflow engine in
+// taint.go, seeded by "//secmemlint:secret" annotations on the real key,
+// pad, and plaintext state across aescipher, gcmmode, gf128, and core, and
+// extended across function boundaries by the interprocedural summaries of
+// summary.go over the call graph of callgraph.go. The cipher's own timing
+// is not checked: AES and GHASH model hardware engines, whose timing
+// belongs to the engine, not to the software that simulates it.
 //
 // The same call graph also yields the "//secmemlint:hotpath" closure
 // (hotpath.go) — the per-access pad/MAC/multiply paths. No analyzer judges
@@ -44,7 +35,9 @@
 // testing.AllocsPerRun tests measure every root at zero allocations.
 //
 // The compiler cannot see any of these properties; the analyzers keep all
-// packages honest through refactors. cmd/secmemlint is the CLI driver and
+// packages honest through refactors. Locking in the one worker pool
+// (harness.parallelFor) is left to go test -race over the harness's
+// serial-versus-parallel test. cmd/secmemlint is the CLI driver and
 // lint_test.go pins the real repository to zero findings.
 package lint
 
@@ -113,13 +106,9 @@ func All() []*Analyzer {
 		VerifyDrop,
 		SliceRetain,
 		SecretFlow,
-		CTTiming,
 		TaintEscape,
-		SharedState,
-		LockDiscipline,
 		GlobalMut,
 		Determinism,
-		GoroutineLife,
 	}
 }
 
@@ -156,6 +145,7 @@ func RunScoped(selected, context []*Package, analyzers []*Analyzer) []Diagnostic
 			}
 		}
 	}
+	diags = append(diags, staleIgnores(selected)...)
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.File != b.File {
@@ -261,6 +251,7 @@ func collectModuleIgnores(pkgs []*Package) ignoreSet {
 type Suppression struct {
 	File      string   `json:"file"`
 	Line      int      `json:"line"`
+	Col       int      `json:"col"`
 	Analyzers []string `json:"analyzers"`
 	Reason    string   `json:"reason"`
 }
@@ -293,6 +284,7 @@ func Suppressions(pkgs []*Package) []Suppression {
 					out = append(out, Suppression{
 						File:      pos.Filename,
 						Line:      pos.Line,
+						Col:       pos.Column,
 						Analyzers: strings.Split(fields[0], ","),
 						Reason:    strings.Join(fields[1:], " "),
 					})
@@ -307,6 +299,34 @@ func Suppressions(pkgs []*Package) []Suppression {
 		return out[i].Line < out[j].Line
 	})
 	return out
+}
+
+// staleIgnores reports every suppression naming something that is neither
+// an analyzer of All() nor one of the two keys that are not analyzers:
+// "all", and hotpathalloc, which sanctions a hot-path heap escape for
+// cmd/escapeaudit. Such a suppression silences nothing, so a typo or the
+// leftover of a deleted analyzer would otherwise pass unnoticed. The check
+// is against the whole suite, not a run's -enable/-disable selection.
+func staleIgnores(pkgs []*Package) []Diagnostic {
+	known := map[string]bool{"all": true, hotPathIgnoreName: true}
+	for _, a := range All() {
+		known[a.Name] = true
+	}
+	var diags []Diagnostic
+	for _, s := range Suppressions(pkgs) {
+		for _, name := range s.Analyzers {
+			if !known[name] {
+				diags = append(diags, Diagnostic{
+					Analyzer: "ignore",
+					File:     s.File,
+					Line:     s.Line,
+					Col:      s.Col,
+					Message:  fmt.Sprintf("suppression names %q, which is not an analyzer (see secmemlint -list), so it silences nothing", name),
+				})
+			}
+		}
+	}
+	return diags
 }
 
 func (s ignoreSet) suppresses(d Diagnostic) bool {

@@ -41,13 +41,9 @@ func TestViolationsAreDetected(t *testing.T) {
 		"verifydrop":     "verifydrop",
 		"sliceretain":    "sliceretain/gcmmode",
 		"secretflow":     "secretflow/interproc",
-		"cttiming":       "cttiming/interproc",
 		"taintescape":    "taintescape/alias",
-		"sharedstate":    "sharedstate/racy",
-		"lockdiscipline": "lockdiscipline/leaky",
 		"globalmut":      "globalmut/core",
 		"determinism":    "determinism/violating",
-		"goroutinelife":  "goroutinelife/leaky",
 	}
 	for name, dir := range fixtures {
 		pkgs, err := Load(filepath.Join("testdata", "src", filepath.FromSlash(dir)), []string{"."})

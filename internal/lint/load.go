@@ -58,8 +58,11 @@ func lastSegment(p string) string {
 //
 // Only the standard library and packages of the enclosing module can be
 // imported: local packages are typechecked from source in dependency order,
-// and everything else falls back to go/importer's source importer, keeping
-// the loader offline and free of external modules.
+// and everything else (the standard library) is read from the compiler's
+// export data in the local build cache, which the go command fills on
+// first use. Both keep the loader offline and free of external modules,
+// and export data spares re-typechecking the standard library from source
+// on every Load.
 func Load(root string, patterns []string) ([]*Package, error) {
 	absRoot, err := filepath.Abs(root)
 	if err != nil {
@@ -77,7 +80,7 @@ func Load(root string, patterns []string) ([]*Package, error) {
 		checked:  make(map[string]*types.Package),
 		checking: make(map[string]bool),
 	}
-	l.fallback = importer.ForCompiler(l.fset, "source", nil)
+	l.fallback = importer.ForCompiler(l.fset, "gc", nil)
 
 	var selected []string // import paths requested for analysis, in order
 	seen := make(map[string]bool)
@@ -277,7 +280,7 @@ func (l *loader) check(path string) (*Package, error) {
 }
 
 // loaderImporter serves local packages from the loader and everything else
-// (i.e. the standard library) from the source importer.
+// (i.e. the standard library) from export data.
 type loaderImporter loader
 
 func (li *loaderImporter) Import(path string) (*types.Package, error) {

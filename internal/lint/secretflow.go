@@ -52,7 +52,7 @@ func runSecretFlow(pass *Pass) {
 				if desc, ok := sinkCallDesc(pass.Pkg.Info, call); ok {
 					reportTaintedArgs(pass, ctx, call, desc)
 				}
-				checkCallSiteSinks(pass, ctx, call, secretFlowName)
+				checkCallSiteSinks(pass, ctx, call)
 				return true
 			})
 		}

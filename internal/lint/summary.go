@@ -14,7 +14,7 @@ import (
 // connected components (callgraph.go), callees first. A summary answers,
 // for one function, "which inputs flow where" — into each result, into the
 // receiver's storage, into each parameter's storage (out-params), into
-// package-level variables, and into timing/logging sinks inside the body —
+// package-level variables, and into logging sinks inside the body —
 // without naming any concrete secret. The intra-procedural engine
 // (taint.go) then instantiates summaries at every call site, so a secret
 // laundered through an arbitrary chain of unannotated helpers is tracked
@@ -96,11 +96,10 @@ type summary struct {
 	sinks []sinkFact
 }
 
-// A sinkFact records that input data reaches a secretflow or cttiming sink
-// inside (or transitively below) a function.
+// A sinkFact records that input data reaches a secretflow sink inside (or
+// transitively below) a function.
 type sinkFact struct {
 	labels labelSet
-	kind   string // reporting analyzer: "secretflow" or "cttiming"
 	desc   string // human description of the ultimate sink
 }
 
@@ -120,14 +119,14 @@ func newSummary(fn *types.Func) *summary {
 	}
 }
 
-func (s *summary) addSink(bits labelSet, kind, desc string) {
+func (s *summary) addSink(bits labelSet, desc string) {
 	bits &= inputLabels
 	if bits == 0 {
 		return
 	}
 	for i := range s.sinks {
 		f := &s.sinks[i]
-		if f.kind == kind && f.desc == desc {
+		if f.desc == desc {
 			f.labels |= bits
 			return
 		}
@@ -137,7 +136,7 @@ func (s *summary) addSink(bits labelSet, kind, desc string) {
 		last.labels |= bits
 		return
 	}
-	s.sinks = append(s.sinks, sinkFact{labels: bits, kind: kind, desc: desc})
+	s.sinks = append(s.sinks, sinkFact{labels: bits, desc: desc})
 }
 
 func (s *summary) equal(o *summary) bool {
@@ -208,30 +207,9 @@ type interproc struct {
 	// secretGlobals records package-level variables promoted to secret
 	// because some call chain stores secret-derived data into them.
 	secretGlobals map[types.Object]bool
-	// shared caches the module-wide concurrency analysis (sharedstate.go),
-	// computed on first demand within one Run.
-	shared *sharedAnalysis
-	// conc caches the concurrent-body fixpoint (scanLiterals +
-	// propagateConcurrency) shared by sharedstate and determinism.
+	// conc caches determinism's concurrent-body discovery
+	// (concurrency.go).
 	conc *concurrency
-}
-
-// concurrency bundles the module-wide concurrent-body discovery so every
-// analyzer that needs "which bodies may run on another goroutine" pays
-// for it once per Run.
-type concurrency struct {
-	scan      *litScan
-	conc      map[*ast.FuncLit]bool
-	concFuncs map[*types.Func]bool
-}
-
-func (ip *interproc) concurrency() *concurrency {
-	if ip.conc == nil {
-		scan := scanLiterals(ip)
-		c, cf := propagateConcurrency(scan)
-		ip.conc = &concurrency{scan: scan, conc: c, concFuncs: cf}
-	}
-	return ip.conc
 }
 
 // maxGlobalRounds bounds the outer fixpoint that promotes secret-receiving
@@ -456,51 +434,31 @@ func forEachReturn(body *ast.BlockStmt, f func(*ast.ReturnStmt)) {
 	})
 }
 
-// collectSinks records parameter-indexed sink facts: direct secretflow and
-// cttiming sink sites inside the body, plus facts propagated from callee
-// summaries. Suppressed sites contribute nothing — the ignore at the site
-// is the sanctioned exemption and must silence the whole chain above it.
+// collectSinks records parameter-indexed sink facts: direct secretflow
+// sink sites inside the body, plus facts propagated from callee summaries.
+// Suppressed sites contribute nothing — the ignore at the site is the
+// sanctioned exemption and must silence the whole chain above it.
 func (c *taintCtx) collectSinks(body *ast.BlockStmt) {
-	add := func(pos token.Pos, bits labelSet, kind, desc string) {
+	add := func(pos token.Pos, bits labelSet, desc string) {
 		bits &= inputLabels
-		if bits == 0 || c.ignoredAt(pos, kind) {
+		if bits == 0 || c.ignoredAt(pos) {
 			return
 		}
-		c.sum.addSink(bits, kind, desc)
+		c.sum.addSink(bits, desc)
 	}
 	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.IfStmt:
-			add(n.Cond.Pos(), c.labelsOf(n.Cond), ctTimingName, "a secret-dependent if condition")
-		case *ast.SwitchStmt:
-			if n.Tag != nil {
-				add(n.Tag.Pos(), c.labelsOf(n.Tag), ctTimingName, "a secret-dependent switch")
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if desc, ok := sinkCallDesc(c.info, call); ok {
+			for _, arg := range call.Args {
+				add(arg.Pos(), c.labelsOf(arg), desc)
 			}
-		case *ast.ForStmt:
-			if n.Cond != nil {
-				add(n.Cond.Pos(), c.labelsOf(n.Cond), ctTimingName, "a secret-dependent loop condition")
-			}
-		case *ast.IndexExpr:
-			if tv, ok := c.info.Types[n.X]; ok && tv.IsValue() {
-				add(n.Index.Pos(), c.labelsOf(n.Index), ctTimingName, "a secret-indexed table lookup")
-			}
-		case *ast.SliceExpr:
-			for _, bound := range []ast.Expr{n.Low, n.High, n.Max} {
-				if bound != nil {
-					add(bound.Pos(), c.labelsOf(bound), ctTimingName, "a secret-dependent slice bound")
-				}
-			}
-		case *ast.CallExpr:
-			if desc, ok := sinkCallDesc(c.info, n); ok {
-				for _, arg := range n.Args {
-					add(arg.Pos(), c.labelsOf(arg), secretFlowName, desc)
-				}
-			}
-			if sum, sig := c.calleeSummary(n); sum != nil {
-				for _, f := range sum.sinks {
-					bits := c.instantiate(f.labels, n, sig)
-					add(n.Pos(), bits, f.kind, viaDesc(f.desc, sum.fn.Name()))
-				}
+		}
+		if sum, sig := c.calleeSummary(call); sum != nil {
+			for _, f := range sum.sinks {
+				add(call.Pos(), c.instantiate(f.labels, call, sig), viaDesc(f.desc, sum.fn.Name()))
 			}
 		}
 		return true
@@ -516,21 +474,21 @@ func viaDesc(desc, callee string) string {
 	return desc + " (via " + callee + ")"
 }
 
-// ignoredAt reports whether a finding of analyzer kind at pos is silenced
-// by a "//secmemlint:ignore" comment.
-func (c *taintCtx) ignoredAt(pos token.Pos, kind string) bool {
+// ignoredAt reports whether a secretflow finding at pos is silenced by a
+// "//secmemlint:ignore" comment.
+func (c *taintCtx) ignoredAt(pos token.Pos) bool {
 	if c.idx.interp == nil {
 		return false
 	}
 	p := c.pkg.Fset.Position(pos)
-	return c.idx.interp.ignores.suppresses(Diagnostic{Analyzer: kind, File: p.Filename, Line: p.Line})
+	return c.idx.interp.ignores.suppresses(Diagnostic{Analyzer: secretFlowName, File: p.Filename, Line: p.Line})
 }
 
 // checkCallSiteSinks reports, at a call site, secret-derived arguments that
-// a callee summary says reach a sink of the given kind somewhere below the
-// call. Reports anchor on the offending argument so line suppressions work
-// the same as for direct findings.
-func checkCallSiteSinks(pass *Pass, ctx *taintCtx, call *ast.CallExpr, kind string) {
+// a callee summary says reach a secretflow sink somewhere below the call.
+// Reports anchor on the offending argument so line suppressions work the
+// same as for direct findings.
+func checkCallSiteSinks(pass *Pass, ctx *taintCtx, call *ast.CallExpr) {
 	sum, sig := ctx.calleeSummary(call)
 	if sum == nil {
 		return
@@ -541,24 +499,15 @@ func checkCallSiteSinks(pass *Pass, ctx *taintCtx, call *ast.CallExpr, kind stri
 			return
 		}
 		reported[arg.Pos()] = true
-		if kind == secretFlowName {
-			pass.Reportf(arg.Pos(),
-				"secret-derived argument flows through %s into %s; key, pad, tag-state, and plaintext material must never leave through logs, errors, metrics, or traces",
-				sum.fn.Name(), desc)
-		} else {
-			pass.Reportf(arg.Pos(),
-				"secret-derived argument flows through %s into %s; constant-time discipline forbids secret-dependent control flow and memory indexing",
-				sum.fn.Name(), desc)
-		}
+		pass.Reportf(arg.Pos(),
+			"secret-derived argument flows through %s into %s; key, pad, tag-state, and plaintext material must never leave through logs, errors, metrics, or traces",
+			sum.fn.Name(), desc)
 	}
 	nparams := 0
 	if sig != nil {
 		nparams = sig.Params().Len()
 	}
 	for _, f := range sum.sinks {
-		if f.kind != kind {
-			continue
-		}
 		if f.labels&overflowLabel != 0 {
 			for _, arg := range call.Args {
 				report(arg, f.desc)
@@ -625,7 +574,7 @@ func DumpSummaries(pkgs []*Package) string {
 			b.WriteString(line + "\n")
 		}
 		for _, f := range sum.sinks {
-			fmt.Fprintf(&b, "  sink %s %q <- %s\n", f.kind, f.desc, labelString(f.labels, sig))
+			fmt.Fprintf(&b, "  sink %q <- %s\n", f.desc, labelString(f.labels, sig))
 		}
 	}
 	return b.String()

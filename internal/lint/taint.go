@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// This file is the taint/dataflow engine underneath the secretflow,
-// cttiming, and taintescape analyzers. Secrecy is a property the Go type
+// This file is the taint/dataflow engine underneath the secretflow and
+// taintescape analyzers. Secrecy is a property the Go type
 // system cannot express: a []byte holding an AES key schedule and a []byte
 // holding a public trace label have the same type. The engine adds that
 // missing bit as a lattice of label sets (summary.go) seeded by explicit

@@ -10,10 +10,10 @@ import "sort"
 // each records into its own shard with zero cross-goroutine traffic, and
 // the coordinator merges once at the end.
 //
-// The sharing discipline is the partitioned-index idiom the sharedstate
-// analyzer blesses: shard i is touched only by worker i while workers run,
-// and Merge is called only after the workers are joined. Nothing here
-// locks, because nothing here is ever accessed concurrently.
+// The sharing discipline is the partitioned-index idiom: shard i is
+// touched only by worker i while workers run, and Merge is called only
+// after the workers are joined. Nothing here locks, because nothing here
+// is ever accessed concurrently.
 //
 // The nil ShardedRegistry hands out nil shards, which hand out nil
 // handles: uninstrumented parallel runs pay the usual single branch.

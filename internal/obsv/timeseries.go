@@ -34,10 +34,10 @@ type Probe func(cycle uint64) float64
 // how much history they lost instead of silently truncating.
 //
 // Concurrency: the simulation goroutine is the only caller of Tick and
-// SampleAt. The ring is guarded by a mutex so the live exposition server
-// can render JSON/CSV mid-run from another goroutine; the uncontended
-// lock costs a few nanoseconds per sample, paid once per interval, never
-// per access. The nil Sampler discards everything.
+// SampleAt. The ring is guarded by a mutex so another goroutine may render
+// JSON/CSV mid-run; the uncontended lock costs a few nanoseconds per
+// sample, paid once per interval, never per access. The nil Sampler
+// discards everything.
 type Sampler struct {
 	interval uint64
 	next     uint64 // next sample boundary; sim goroutine only
@@ -53,10 +53,6 @@ type Sampler struct {
 	head     int       // next write slot
 	count    int       // stored samples (<= capacity)
 	total    uint64    // samples ever taken, including overwritten
-
-	// onSample, when set, runs after each sample outside the ring lock —
-	// the live server uses it to publish a fresh registry snapshot.
-	onSample func(cycle uint64)
 }
 
 // NewSampler builds a sampler taking one sample every interval cycles into
@@ -110,15 +106,6 @@ func (s *Sampler) Series(name string, p Probe) {
 	s.probes[i] = p
 }
 
-// OnSample installs a hook run after every recorded sample, outside the
-// ring lock. The live exposition server publishes snapshots from it.
-func (s *Sampler) OnSample(fn func(cycle uint64)) {
-	if s == nil {
-		return
-	}
-	s.onSample = fn
-}
-
 // Due reports whether the simulation has crossed the next sample boundary.
 // It is the one-branch hot-path guard: callers check Due before paying for
 // Tick. Only the simulation goroutine reads or advances the boundary.
@@ -137,9 +124,6 @@ func (s *Sampler) Tick(now uint64) {
 		at := s.next
 		s.next += s.interval
 		s.record(at)
-		if s.onSample != nil {
-			s.onSample(at)
-		}
 	}
 }
 
@@ -168,9 +152,6 @@ func (s *Sampler) SampleAt(cycle uint64) {
 		s.next = cycle + 1 // boundaries already covered by this sample
 	}
 	s.record(cycle)
-	if s.onSample != nil {
-		s.onSample(cycle)
-	}
 }
 
 // record appends one sample row at the given cycle. Probes run under the
