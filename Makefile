@@ -52,14 +52,17 @@ escape-audit-check:
 	$(GO) run ./cmd/escapeaudit -check
 
 # Short native-fuzz passes over the attack surfaces that parse free-form
-# input (the lint annotation grammar) and the differential crypto oracle
-# (table-driven GF(2^128) multiply vs the bit-serial reference). One -fuzz
-# target per `go test` invocation, as the tool requires.
+# input (the lint annotation grammar and the counter-block images an
+# attacker writes to memory, checked against a bit-serial reference decoder)
+# and the differential crypto oracle (table-driven GF(2^128) multiply vs the
+# bit-serial reference). One -fuzz target per `go test` invocation, as the
+# tool requires.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCollectIgnores -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzSecretAnnotation -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzHotpathAnnotation -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzMulTable -fuzztime=10s ./internal/gf128
+	$(GO) test -run='^$$' -fuzz=FuzzUnpackBlock -fuzztime=10s ./internal/counterstore
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

@@ -182,7 +182,7 @@ func (m *MemSystem) Drain(now sim.Time) {
 			}
 		}
 		dirtyLeft := false
-		if ctrs := m.ctl.Counters(); ctrs != nil && ctrs.Cache() != nil {
+		if ctrs := m.ctl.Counters(); ctrs != nil {
 			var dirtyCtrs []uint64
 			ctrs.Cache().ForEach(func(addr uint64, dirty bool) {
 				if dirty {

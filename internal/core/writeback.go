@@ -16,7 +16,7 @@ func (c *Controller) writeBackData(now sim.Time, addr uint64) {
 	c.mWB.Inc()
 	if c.needCounters() {
 		ctrReady, _ := c.counterReady(now, addr)
-		_, ov := c.ctrs.Increment(addr)
+		ov := c.ctrs.Increment(addr)
 		c.ctrs.CacheDirty(c.ctrs.CounterBlockAddr(addr))
 		switch ov.Kind {
 		case counterstore.PageOverflow:

@@ -4,11 +4,14 @@
 // the on-chip counter cache (sequence-number cache) through which all of
 // them are accessed, and the growth-rate accounting behind Table 2.
 //
-// The store always maintains functional counter values (they are needed for
-// seed construction, overflow detection, and growth statistics even in
-// timing-only runs). It also manages derivative counters for Merkle-tree MAC
-// blocks: those share the counter cache but live in their own region and are
-// 64-bit, so they never overflow (Section 4.3).
+// The store's state is the 64-byte memory image of each counter block: the
+// bytes a real controller holds on-chip, writes back, and (in functional
+// mode) an attacker can roll back. Every counter is a bit field of one image,
+// located by slot; the layouts are listed in pack.go. The store keeps
+// functional values even in timing-only runs (they drive seed construction,
+// overflow detection, and growth statistics). Merkle MAC blocks and counter
+// blocks are covered by 16-bit derivative counters that share the counter
+// cache but live in their own region (Section 4.3).
 package counterstore
 
 import (
@@ -66,9 +69,7 @@ type Config struct {
 	MinorBits  int // split minor width
 	PageBlocks int // split encryption-page size in blocks
 	Regions    Regions
-	// Cache is the counter-cache geometry; nil disables caching (every
-	// lookup is a miss), which no real configuration uses but tests may.
-	Cache *cache.Config
+	Cache      cache.Config // counter-cache geometry
 }
 
 // FromSystem derives the store configuration from a system config and the
@@ -79,6 +80,7 @@ func FromSystem(sc config.SystemConfig, r Regions) Config {
 		MinorBits:  sc.MinorBits,
 		PageBlocks: sc.PageBlocks,
 		Regions:    r,
+		Cache:      sc.CounterCache,
 	}
 	switch sc.Enc {
 	case config.EncCounterSplit:
@@ -93,8 +95,6 @@ func FromSystem(sc config.SystemConfig, r Regions) Config {
 		// counters — that is the proposal being evaluated.
 		c.Org = OrgSplit
 	}
-	cc := sc.CounterCache
-	c.Cache = &cc
 	return c
 }
 
@@ -158,18 +158,22 @@ func (s Stats) HitRate() float64 {
 type Store struct {
 	cfg Config
 
-	// split state
-	minors map[uint64]uint64 // data block addr -> minor value
-	majors map[uint64]uint64 // page addr -> major value
+	// blocks maps a counter-block address to its 64-byte memory image, the
+	// only copy of the counters it holds; an absent block reads as zero.
+	// The images are map values rather than one heap object each: tens of
+	// thousands of small objects per run made building the next machine
+	// measurably slower.
+	blocks map[uint64][BlockSize]byte
+	global uint64 // the on-chip global counter (OrgGlobal)
 
-	// mono/global/derivative state
-	values map[uint64]uint64 // block addr -> counter value
-	global uint64
+	// Data-counter layout, fixed by the organization (see slot).
+	perBlock uint64 // data blocks per counter block
+	first    uint   // bit offset of the first data counter (after a split major)
+	width    uint   // data counter width in bits
 
 	// growth accounting (Table 2): per-data-block increment counts.
-	incr     map[uint64]uint64
-	maxIncr  uint64
-	maxBlock uint64
+	incr    map[uint64]uint64
+	maxIncr uint64
 
 	cache   *cache.Cache
 	pending map[uint64]sim.Time // counter block addr -> fetch completion
@@ -195,25 +199,33 @@ func (s *Store) Instrument(reg *obsv.Registry) {
 
 // New builds a store.
 func New(cfg Config) *Store {
-	if cfg.Org == OrgSplit {
-		if cfg.MinorBits < 1 || cfg.MinorBits > 16 || cfg.PageBlocks <= 0 {
+	var perBlock uint64
+	first, width := uint(0), uint(cfg.Bits)
+	switch {
+	case cfg.Org == OrgSplit:
+		if cfg.MinorBits < 1 || cfg.MinorBits > 16 || cfg.PageBlocks <= 0 ||
+			64+cfg.PageBlocks*cfg.MinorBits > BlockSize*8 {
 			panic(fmt.Sprintf("counterstore: bad split geometry %+v", cfg))
 		}
-	} else if cfg.Bits != 8 && cfg.Bits != 16 && cfg.Bits != 32 && cfg.Bits != 64 {
+		perBlock, first, width = uint64(cfg.PageBlocks), 64, uint(cfg.MinorBits)
+	case cfg.Bits != 8 && cfg.Bits != 16 && cfg.Bits != 32 && cfg.Bits != 64:
 		panic(fmt.Sprintf("counterstore: bad counter width %d", cfg.Bits))
+	case cfg.Org == OrgGlobal:
+		width = 64 // stored per-block values are full width for decryption
 	}
-	s := &Store{
-		cfg:     cfg,
-		minors:  make(map[uint64]uint64),
-		majors:  make(map[uint64]uint64),
-		values:  make(map[uint64]uint64),
-		incr:    make(map[uint64]uint64),
-		pending: make(map[uint64]sim.Time),
+	if perBlock == 0 {
+		perBlock = BlockSize * 8 / uint64(width)
 	}
-	if cfg.Cache != nil {
-		s.cache = cache.New(*cfg.Cache)
+	return &Store{
+		cfg:      cfg,
+		blocks:   make(map[uint64][BlockSize]byte),
+		perBlock: perBlock,
+		first:    first,
+		width:    width,
+		incr:     make(map[uint64]uint64),
+		cache:    cache.New(cfg.Cache),
+		pending:  make(map[uint64]sim.Time),
 	}
-	return s
 }
 
 // Config returns the store configuration.
@@ -229,134 +241,130 @@ func (s *Store) PageAddr(addr uint64) uint64 {
 	return addr / pageBytes * pageBytes
 }
 
-// isMeta reports whether addr is a metadata block (a counter block or a
-// Merkle MAC block); metadata blocks are covered by derivative counters.
-func (s *Store) isMeta(addr uint64) bool {
-	return addr >= s.cfg.Regions.DirectBase
+// slot locates the counter of a protected block: the counter block holding
+// it and the field's bit offset and width within that block's image. Data
+// blocks use the organization's layout in the direct-counter region;
+// metadata blocks (counter blocks and Merkle MAC blocks, everything at or
+// above DirectBase) use derivative counters in their own region.
+func (s *Store) slot(addr uint64) (ctrBlock uint64, off, width uint) {
+	r := s.cfg.Regions
+	if addr >= r.DirectBase {
+		i := (addr - r.DirectBase) / BlockSize
+		return r.DerivBase + i/derivPerBlock*BlockSize, uint(i%derivPerBlock) * derivBits, derivBits
+	}
+	i := addr / BlockSize
+	return r.DirectBase + i/s.perBlock*BlockSize, s.first + uint(i%s.perBlock)*s.width, s.width
 }
 
 // CounterBlockAddr maps a protected block to the memory block holding its
-// counter. Data blocks map into the direct-counter region with a density
-// depending on the organization; MAC blocks map into the derivative-counter
-// region at 64 bits per counter.
+// counter.
 func (s *Store) CounterBlockAddr(addr uint64) uint64 {
-	if s.isMeta(addr) {
-		idx := (addr - s.cfg.Regions.DirectBase) / BlockSize
-		return s.cfg.Regions.DerivBase + idx/derivPerBlock*BlockSize
-	}
-	idx := addr / BlockSize
-	switch s.cfg.Org {
-	case OrgSplit:
-		// One counter block per encryption page: the major plus all minors.
-		return s.cfg.Regions.DirectBase + idx/uint64(s.cfg.PageBlocks)*BlockSize
-	default:
-		perBlock := uint64(512 / s.counterBits())
-		return s.cfg.Regions.DirectBase + idx/perBlock*BlockSize
-	}
-}
-
-func (s *Store) counterBits() int {
-	if s.cfg.Org == OrgGlobal {
-		return 64 // stored per-block values are full width for decryption
-	}
-	return s.cfg.Bits
+	ctrBlock, _, _ := s.slot(addr)
+	return ctrBlock
 }
 
 // Value returns the current counter value for a protected block, as used in
 // the encryption/authentication seed. Split counters concatenate major and
 // minor (major << minorBits | minor).
 func (s *Store) Value(addr uint64) uint64 {
-	if s.isMeta(addr) {
-		return s.values[addr]
+	ctrBlock, off, width := s.slot(addr)
+	img := s.blocks[ctrBlock]
+	v := getBits(&img, off, width)
+	if s.cfg.Org == OrgSplit && addr < s.cfg.Regions.DirectBase {
+		v |= getBits(&img, 0, 64) << width
 	}
-	switch s.cfg.Org {
-	case OrgSplit:
-		return s.majors[s.PageAddr(addr)]<<uint(s.cfg.MinorBits) | s.minors[addr]
-	default:
-		return s.values[addr]
-	}
+	return v
 }
 
 // ValueWithMajor returns a split-counter value under an explicit major (the
 // RSR uses the page's old major to decrypt blocks during re-encryption).
 func (s *Store) ValueWithMajor(addr, major uint64) uint64 {
-	return major<<uint(s.cfg.MinorBits) | s.minors[addr]
+	ctrBlock, off, width := s.slot(addr)
+	img := s.blocks[ctrBlock]
+	return major<<width | getBits(&img, off, width)
 }
 
 // Major returns the page's current major counter.
-func (s *Store) Major(pageAddr uint64) uint64 { return s.majors[pageAddr] }
+func (s *Store) Major(pageAddr uint64) uint64 {
+	img := s.blocks[s.CounterBlockAddr(pageAddr)]
+	return getBits(&img, 0, 64)
+}
 
 // Increment advances the block's counter for a write-back and reports any
 // overflow consequence. For split counters, a wrapping minor is left at zero
 // and the overflow handler (the RSR machinery in the core package) must call
 // BumpMajor to advance the page; the returned overflow identifies the page.
-func (s *Store) Increment(addr uint64) (newValue uint64, ov Overflow) {
-	if s.isMeta(addr) {
-		s.values[addr]++
+// A derivative counter is its 16-bit field and never reports an overflow
+// (DESIGN.md argues no metadata block wraps within a run).
+func (s *Store) Increment(addr uint64) Overflow {
+	ctrBlock, off, width := s.slot(addr)
+	img := s.blocks[ctrBlock]
+	v := getBits(&img, off, width) + 1
+	if addr >= s.cfg.Regions.DirectBase {
+		setBits(&img, off, width, v)
+		s.blocks[ctrBlock] = img
 		s.Stats.DerivIncrements++
-		return s.values[addr], Overflow{}
+		return Overflow{}
 	}
 	s.Stats.Increments++
 	s.mIncr.Inc()
 	s.trackGrowth(addr)
-	switch s.cfg.Org {
-	case OrgSplit:
-		m := s.minors[addr] + 1
-		if m >= 1<<uint(s.cfg.MinorBits) {
-			s.Stats.MinorOverflows++
-			s.mOverflow.Inc()
-			s.minors[addr] = 0
-			return s.Value(addr), Overflow{Kind: PageOverflow, PageAddr: s.PageAddr(addr)}
-		}
-		s.minors[addr] = m
-		return s.Value(addr), Overflow{}
-	case OrgGlobal:
+	var ov Overflow
+	if s.cfg.Org == OrgGlobal {
 		s.global++
-		var wrapped bool
 		if s.cfg.Bits < 64 && s.global >= 1<<uint(s.cfg.Bits) {
 			s.global = 0
-			wrapped = true
-			s.Stats.FullOverflows++
-			s.mOverflow.Inc()
+			ov.Kind = FullOverflow
 		}
-		s.values[addr] = s.global
-		if wrapped {
-			return s.global, Overflow{Kind: FullOverflow}
+		v = s.global
+	} else if width < 64 && v >= 1<<width {
+		v = 0
+		if s.cfg.Org == OrgSplit {
+			ov = Overflow{Kind: PageOverflow, PageAddr: s.PageAddr(addr)}
+		} else {
+			ov.Kind = FullOverflow
 		}
-		return s.global, Overflow{}
-	default: // OrgMono
-		v := s.values[addr] + 1
-		if s.cfg.Bits < 64 && v >= 1<<uint(s.cfg.Bits) {
-			s.values[addr] = 0
-			s.Stats.FullOverflows++
-			s.mOverflow.Inc()
-			return 0, Overflow{Kind: FullOverflow}
-		}
-		s.values[addr] = v
-		return v, Overflow{}
 	}
+	setBits(&img, off, width, v)
+	s.blocks[ctrBlock] = img
+	switch ov.Kind {
+	case PageOverflow:
+		s.Stats.MinorOverflows++
+		s.mOverflow.Inc()
+	case FullOverflow:
+		s.Stats.FullOverflows++
+		s.mOverflow.Inc()
+	}
+	return ov
 }
 
 // BumpMajor advances a page's major counter and zeroes nothing: minors are
 // reset per block as the RSR processes them (ResetMinor), matching Section
 // 4.2's lazy ordering. It returns the old and new major values.
 func (s *Store) BumpMajor(pageAddr uint64) (oldMajor, newMajor uint64) {
-	oldMajor = s.majors[pageAddr]
+	ctrBlock := s.CounterBlockAddr(pageAddr)
+	img := s.blocks[ctrBlock]
+	oldMajor = getBits(&img, 0, 64)
 	newMajor = oldMajor + 1
-	s.majors[pageAddr] = newMajor
+	setBits(&img, 0, 64, newMajor)
+	s.blocks[ctrBlock] = img
 	return oldMajor, newMajor
 }
 
 // ResetMinor zeroes a block's minor counter (called as each block of a
 // re-encrypting page is handled).
-func (s *Store) ResetMinor(addr uint64) { s.minors[addr] = 0 }
+func (s *Store) ResetMinor(addr uint64) {
+	ctrBlock, off, width := s.slot(addr)
+	if img, ok := s.blocks[ctrBlock]; ok {
+		setBits(&img, off, width, 0)
+		s.blocks[ctrBlock] = img
+	}
+}
 
 // ResetAll zeroes every counter; whole-memory re-encryption (monolithic
 // overflow key change) starts all counters over under the new key.
 func (s *Store) ResetAll() {
-	clear(s.minors)
-	clear(s.majors)
-	clear(s.values)
+	clear(s.blocks)
 	s.global = 0
 }
 
@@ -366,21 +374,12 @@ func (s *Store) trackGrowth(addr uint64) {
 	}
 	n := s.incr[addr] + 1
 	s.incr[addr] = n
-	if n > s.maxIncr {
-		s.maxIncr = n
-		s.maxBlock = addr
-	}
+	s.maxIncr = max(s.maxIncr, n)
 }
 
-// FastestCounter returns the largest per-block increment count seen and the
-// block it belongs to — the "fastest-advancing counter" of Table 2.
-func (s *Store) FastestCounter() (increments uint64, blockAddr uint64) {
-	return s.maxIncr, s.maxBlock
-}
-
-// TotalIncrements returns total data write-backs, the global counter's
-// growth (Table 2's Global32b column).
-func (s *Store) TotalIncrements() uint64 { return s.Stats.Increments }
+// FastestCounter returns the largest per-block increment count seen — the
+// "fastest-advancing counter" of Table 2.
+func (s *Store) FastestCounter() uint64 { return s.maxIncr }
 
 // ForEachIncrement visits every data block's write-back count. The Section
 // 6.1 work-ratio analysis derives whole-memory and per-page re-encryption
@@ -400,11 +399,6 @@ func (s *Store) ForEachIncrement(fn func(blockAddr, count uint64)) {
 // (which the caller fetches on a Miss).
 func (s *Store) CacheLookup(addr uint64, now sim.Time) (res LookupResult, readyAt sim.Time, ctrBlock uint64) {
 	ctrBlock = s.CounterBlockAddr(addr)
-	if s.cache == nil {
-		s.Stats.Misses++
-		s.mMiss.Inc()
-		return Miss, 0, ctrBlock
-	}
 	if s.cache.Lookup(ctrBlock, false) {
 		// Skip the map probe outright when nothing is in flight — the
 		// common case once fetches complete. No bulk staleness sweep here:
@@ -433,19 +427,17 @@ func (s *Store) CacheLookup(addr uint64, now sim.Time) (res LookupResult, readyA
 // CacheFill installs a fetched counter block that becomes valid at ready,
 // returning any dirty victim that must be written back to memory.
 func (s *Store) CacheFill(ctrBlock uint64, ready sim.Time) (ev cache.Eviction, evicted bool) {
-	if s.cache == nil {
-		return cache.Eviction{}, false
-	}
 	s.pending[ctrBlock] = ready
-	return s.cache.Fill(ctrBlock, false)
+	ev, evicted = s.cache.Fill(ctrBlock, false)
+	if evicted {
+		// Only resident blocks consult pending, and the victim's next fill
+		// overwrites its entry: dropping it keeps the map cache-sized.
+		delete(s.pending, ev.Addr)
+	}
+	return ev, evicted
 }
 
 // CacheDirty marks a resident counter block dirty (a counter increment
 // modifies it); absent blocks are ignored (the caller has already arranged
 // the fetch).
 func (s *Store) CacheDirty(ctrBlock uint64) { s.cache.SetDirty(ctrBlock) }
-
-// CacheContains reports counter-cache residence without side effects.
-func (s *Store) CacheContains(ctrBlock uint64) bool {
-	return s.cache != nil && s.cache.Contains(ctrBlock)
-}

@@ -17,11 +17,14 @@ func regions() Regions {
 	}
 }
 
+// snc is the counter-cache geometry of the test stores.
+var snc = cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64}
+
 func splitStore() *Store {
 	return New(Config{
 		Org: OrgSplit, MinorBits: 7, PageBlocks: 64,
 		Regions: regions(),
-		Cache:   &cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64},
+		Cache:   snc,
 	})
 }
 
@@ -29,7 +32,7 @@ func monoStore(bits int) *Store {
 	return New(Config{
 		Org: OrgMono, Bits: bits,
 		Regions: regions(),
-		Cache:   &cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64},
+		Cache:   snc,
 	})
 }
 
@@ -39,9 +42,8 @@ func TestSplitValueConcatenatesMajorMinor(t *testing.T) {
 	if got := s.Value(blk); got != 0 {
 		t.Fatalf("initial value = %d", got)
 	}
-	v, ov := s.Increment(blk)
-	if v != 1 || ov.Kind != NoOverflow {
-		t.Fatalf("first increment = (%d, %v)", v, ov)
+	if ov := s.Increment(blk); s.Value(blk) != 1 || ov.Kind != NoOverflow {
+		t.Fatalf("first increment = (%d, %v)", s.Value(blk), ov)
 	}
 	s.BumpMajor(s.PageAddr(blk))
 	if got := s.Value(blk); got != 1<<7|1 {
@@ -57,20 +59,20 @@ func TestSplitMinorOverflowTriggersPageReenc(t *testing.T) {
 	const blk = 64 * 100 // page 1 (blocks 64..127)
 	var ov Overflow
 	for i := 0; i < 127; i++ {
-		_, ov = s.Increment(blk)
+		ov = s.Increment(blk)
 		if ov.Kind != NoOverflow {
 			t.Fatalf("premature overflow at increment %d", i+1)
 		}
 	}
-	_, ov = s.Increment(blk) // 128th: 7-bit minor wraps
+	ov = s.Increment(blk) // 128th: 7-bit minor wraps
 	if ov.Kind != PageOverflow {
 		t.Fatalf("no page overflow at wrap: %+v", ov)
 	}
 	if want := uint64(4096); ov.PageAddr != want {
 		t.Errorf("page addr = %#x, want %#x", ov.PageAddr, want)
 	}
-	if s.minors[blk] != 0 {
-		t.Errorf("minor not left at zero: %d", s.minors[blk])
+	if m := s.ValueWithMajor(blk, 0); m != 0 {
+		t.Errorf("minor not left at zero: %d", m)
 	}
 	if s.Stats.MinorOverflows != 1 {
 		t.Errorf("minor overflows = %d", s.Stats.MinorOverflows)
@@ -81,11 +83,11 @@ func TestMonoOverflow(t *testing.T) {
 	s := monoStore(8)
 	const blk = 0
 	for i := 0; i < 255; i++ {
-		if _, ov := s.Increment(blk); ov.Kind != NoOverflow {
+		if ov := s.Increment(blk); ov.Kind != NoOverflow {
 			t.Fatalf("premature overflow at %d", i)
 		}
 	}
-	_, ov := s.Increment(blk)
+	ov := s.Increment(blk)
 	if ov.Kind != FullOverflow {
 		t.Fatalf("256th increment: %+v", ov)
 	}
@@ -100,7 +102,7 @@ func TestMonoOverflow(t *testing.T) {
 func TestMono64NeverOverflows(t *testing.T) {
 	s := monoStore(64)
 	for i := 0; i < 1000; i++ {
-		if _, ov := s.Increment(0); ov.Kind != NoOverflow {
+		if ov := s.Increment(0); ov.Kind != NoOverflow {
 			t.Fatal("64-bit counter overflowed")
 		}
 	}
@@ -111,12 +113,12 @@ func TestMono64NeverOverflows(t *testing.T) {
 
 func TestGlobalCounterSharedAcrossBlocks(t *testing.T) {
 	s := New(Config{Org: OrgGlobal, Bits: 32, Regions: regions(),
-		Cache: &cache.Config{Name: "snc", SizeBytes: 4096, Ways: 8, BlockBytes: 64}})
-	v1, _ := s.Increment(0)
-	v2, _ := s.Increment(64)
-	v3, _ := s.Increment(0)
-	if v1 != 1 || v2 != 2 || v3 != 3 {
-		t.Errorf("global sequence = %d,%d,%d", v1, v2, v3)
+		Cache: snc})
+	for i, blk := range []uint64{0, 64, 0} {
+		s.Increment(blk)
+		if got := s.Value(blk); got != uint64(i+1) {
+			t.Errorf("increment %d stored %d, want %d", i+1, got, i+1)
+		}
 	}
 	// Stored per-block values are the encryption-time snapshots.
 	if s.Value(64) != 2 {
@@ -157,9 +159,8 @@ func TestCounterBlockAddrDensity(t *testing.T) {
 func TestDerivativeCountersIndependent(t *testing.T) {
 	s := splitStore()
 	mac := regions().MacBase + 128
-	v, ov := s.Increment(mac)
-	if v != 1 || ov.Kind != NoOverflow {
-		t.Fatalf("deriv increment = (%d, %v)", v, ov)
+	if ov := s.Increment(mac); ov.Kind != NoOverflow {
+		t.Fatalf("deriv increment overflowed: %v", ov)
 	}
 	if s.Stats.DerivIncrements != 1 || s.Stats.Increments != 0 {
 		t.Errorf("stats = %+v", s.Stats)
@@ -179,12 +180,11 @@ func TestGrowthTracking(t *testing.T) {
 	}
 	// MAC-block increments must not count toward data growth.
 	s.Increment(regions().MacBase)
-	n, blk := s.FastestCounter()
-	if n != 10 || blk != 0x40 {
-		t.Errorf("fastest = (%d, %#x), want (10, 0x40)", n, blk)
+	if n := s.FastestCounter(); n != 10 {
+		t.Errorf("fastest = %d, want 10", n)
 	}
-	if s.TotalIncrements() != 13 {
-		t.Errorf("total = %d, want 13", s.TotalIncrements())
+	if s.Stats.Increments != 13 {
+		t.Errorf("total = %d, want 13", s.Stats.Increments)
 	}
 }
 
@@ -220,7 +220,7 @@ func TestCacheFillEviction(t *testing.T) {
 		Org: OrgSplit, MinorBits: 7, PageBlocks: 64,
 		Regions: regions(),
 		// Tiny fully-mapped cache: 2 blocks total.
-		Cache: &cache.Config{Name: "snc", SizeBytes: 128, Ways: 2, BlockBytes: 64},
+		Cache: cache.Config{Name: "snc", SizeBytes: 128, Ways: 2, BlockBytes: 64},
 	})
 	_, _, b0 := s.CacheLookup(0, 0)
 	s.CacheFill(b0, 10)
@@ -232,8 +232,11 @@ func TestCacheFillEviction(t *testing.T) {
 	if !evicted || ev.Addr != b0 || !ev.Dirty {
 		t.Errorf("eviction = %+v (%v), want dirty %#x", ev, evicted, b0)
 	}
-	if s.CacheContains(b0) {
+	if s.Cache().Contains(b0) {
 		t.Error("evicted counter block still resident")
+	}
+	if _, ok := s.pending[b0]; ok {
+		t.Error("evicted counter block keeps its fetch-completion entry")
 	}
 }
 
@@ -258,11 +261,10 @@ func TestSeedUniquenessAcrossWritebacks(t *testing.T) {
 		const blk = 0
 		seen := map[uint64]bool{0: true} // initial value used by first encryption
 		for i := 0; i < n; i++ {
-			v, ov := s.Increment(blk)
-			if ov.Kind == PageOverflow {
+			if ov := s.Increment(blk); ov.Kind == PageOverflow {
 				s.BumpMajor(s.PageAddr(blk))
-				v = s.Value(blk)
 			}
+			v := s.Value(blk)
 			if seen[v] {
 				return false
 			}
@@ -300,10 +302,19 @@ func TestFromSystem(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad split geometry did not panic")
-		}
-	}()
-	New(Config{Org: OrgSplit, MinorBits: 0, PageBlocks: 64, Regions: regions()})
+	for _, cfg := range []Config{
+		{Org: OrgSplit, MinorBits: 0, PageBlocks: 64},
+		{Org: OrgSplit, MinorBits: 8, PageBlocks: 64}, // 576 bits: exceeds one block
+		{Org: OrgMono, Bits: 12},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("bad geometry %+v did not panic", cfg)
+				}
+			}()
+			cfg.Regions = regions()
+			New(cfg)
+		}()
+	}
 }

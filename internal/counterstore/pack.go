@@ -1,126 +1,74 @@
 package counterstore
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
-// This file implements the byte-level serialization of counter blocks used
-// by functional mode: the processor trusts what it reads from memory, so the
-// simulated DRAM must hold real counter bytes that can be rolled back by the
-// attacker — that is exactly the Section 4.3 counter-replay surface.
+// This file holds the byte-level format of counter blocks. The processor
+// trusts what it reads from memory, so in functional mode the simulated DRAM
+// holds real counter bytes that the attacker can roll back — exactly the
+// Section 4.3 counter-replay surface. The store keeps every counter block as
+// that very image, so packing and unpacking are copies.
 //
-// A split counter block packs the 64-bit major counter followed by
-// PageBlocks minor counters of MinorBits each, bit-contiguously — for the
-// paper's 7-bit minors and 64-block pages that is exactly 512 bits, one
-// cache block. Monolithic blocks pack 512/Bits counters of Bits bits.
+// Fields are bit-contiguous and big-endian, most significant bit first:
+//
+//   - split: a 64-bit major, then PageBlocks minors of MinorBits each — for
+//     the paper's 7-bit minors and 64-block pages exactly 512 bits;
+//   - monolithic: 512/Bits counters of Bits bits;
+//   - global: 8 per-block 64-bit snapshots of the global counter;
+//   - derivative (metadata blocks): 32 counters of 16 bits.
+//
+// Bits a layout leaves unused (e.g. the tail after 4-bit minors) are kept as
+// stored; MACs cover the whole image.
 
-// PackBlock serializes the counters stored in the counter block at
-// ctrBlock into a 64-byte image.
+// PackBlock returns the 64-byte image of the counter block at ctrBlock.
 func (s *Store) PackBlock(ctrBlock uint64) [BlockSize]byte {
-	var out [BlockSize]byte
-	if ctrBlock >= s.cfg.Regions.DerivBase {
-		// Derivative counters: 32 x 16-bit values (low 16 bits of the
-		// stored counter; the on-chip value is authoritative).
-		first := s.cfg.Regions.DirectBase + (ctrBlock-s.cfg.Regions.DerivBase)/BlockSize*derivPerBlock*BlockSize
-		for i := 0; i < derivPerBlock; i++ {
-			binary.BigEndian.PutUint16(out[i*2:], uint16(s.values[first+uint64(i)*BlockSize]))
-		}
-		return out
-	}
-	if ctrBlock < s.cfg.Regions.DirectBase {
-		panic(fmt.Sprintf("counterstore: %#x is not a counter block", ctrBlock))
-	}
-	idx := (ctrBlock - s.cfg.Regions.DirectBase) / BlockSize
-	switch s.cfg.Org {
-	case OrgSplit:
-		page := idx * uint64(s.cfg.PageBlocks) * BlockSize
-		bw := newBitWriter(out[:])
-		bw.write(s.majors[page], 64)
-		for i := 0; i < s.cfg.PageBlocks; i++ {
-			bw.write(s.minors[page+uint64(i)*BlockSize], uint(s.cfg.MinorBits))
-		}
-		return out
-	default:
-		perBlock := uint64(512 / s.counterBits())
-		first := idx * perBlock * BlockSize
-		bw := newBitWriter(out[:])
-		for i := uint64(0); i < perBlock; i++ {
-			bw.write(s.values[first+i*BlockSize], uint(s.counterBits()))
-		}
-		return out
-	}
+	s.checkCounterBlock(ctrBlock)
+	return s.blocks[ctrBlock]
 }
 
-// UnpackBlock deserializes a 64-byte counter block image into the store,
-// overwriting the affected counters. This is the "trust what memory says"
-// step a real memory controller performs on a counter-cache fill; calling it
-// with attacker-modified bytes reproduces the counter-replay vulnerability
-// when counter authentication is disabled.
+// UnpackBlock installs a 64-byte counter block image, overwriting the
+// counters it holds. This is the "trust what memory says" step a real memory
+// controller performs on a counter-cache fill; calling it with
+// attacker-modified bytes reproduces the counter-replay vulnerability when
+// counter authentication is disabled.
 func (s *Store) UnpackBlock(ctrBlock uint64, img []byte) {
-	if len(img) < BlockSize {
-		panic("counterstore: short counter block image")
-	}
-	if ctrBlock >= s.cfg.Regions.DerivBase {
-		first := s.cfg.Regions.DirectBase + (ctrBlock-s.cfg.Regions.DerivBase)/BlockSize*derivPerBlock*BlockSize
-		for i := 0; i < derivPerBlock; i++ {
-			s.values[first+uint64(i)*BlockSize] = uint64(binary.BigEndian.Uint16(img[i*2:]))
-		}
-		return
-	}
-	if ctrBlock < s.cfg.Regions.DirectBase {
+	s.checkCounterBlock(ctrBlock)
+	s.blocks[ctrBlock] = [BlockSize]byte(img) // panics on a short image
+}
+
+// checkCounterBlock panics unless ctrBlock is in the direct- or
+// derivative-counter region.
+func (s *Store) checkCounterBlock(ctrBlock uint64) {
+	r := s.cfg.Regions
+	if ctrBlock < r.DirectBase || ctrBlock >= r.MacBase && ctrBlock < r.DerivBase {
 		panic(fmt.Sprintf("counterstore: %#x is not a counter block", ctrBlock))
 	}
-	idx := (ctrBlock - s.cfg.Regions.DirectBase) / BlockSize
-	switch s.cfg.Org {
-	case OrgSplit:
-		page := idx * uint64(s.cfg.PageBlocks) * BlockSize
-		br := newBitReader(img)
-		s.majors[page] = br.read(64)
-		for i := 0; i < s.cfg.PageBlocks; i++ {
-			s.minors[page+uint64(i)*BlockSize] = br.read(uint(s.cfg.MinorBits))
-		}
-	default:
-		perBlock := uint64(512 / s.counterBits())
-		first := idx * perBlock * BlockSize
-		br := newBitReader(img)
-		for i := uint64(0); i < perBlock; i++ {
-			s.values[first+i*BlockSize] = br.read(uint(s.counterBits()))
-		}
+}
+
+// getBits reads the width-bit field at bit offset off of img. A field covers
+// at most 8 bytes: 64-bit fields are aligned, and unaligned ones are at most
+// 16 bits wide.
+func getBits(img *[BlockSize]byte, off, width uint) uint64 {
+	b, n := off/8, (off%8+width+7)/8
+	var w uint64
+	for _, c := range img[b : b+n] {
+		w = w<<8 | uint64(c)
 	}
+	return w >> (n*8 - off%8 - width) & (1<<width - 1)
 }
 
-type bitWriter struct {
-	buf []byte
-	pos uint // bit position
-}
-
-func newBitWriter(buf []byte) *bitWriter { return &bitWriter{buf: buf} }
-
-func (w *bitWriter) write(v uint64, bits uint) {
-	for i := int(bits) - 1; i >= 0; i-- {
-		if v>>uint(i)&1 == 1 {
-			w.buf[w.pos/8] |= 1 << (7 - w.pos%8)
-		}
-		w.pos++
+// setBits writes v's low width bits into the field at bit offset off of
+// img, leaving every other bit unchanged.
+func setBits(img *[BlockSize]byte, off, width uint, v uint64) {
+	b, n := off/8, (off%8+width+7)/8
+	sh := n*8 - off%8 - width
+	mask := (uint64(1)<<width - 1) << sh
+	var w uint64
+	for _, c := range img[b : b+n] {
+		w = w<<8 | uint64(c)
 	}
-}
-
-type bitReader struct {
-	buf []byte
-	pos uint
-}
-
-func newBitReader(buf []byte) *bitReader { return &bitReader{buf: buf} }
-
-func (r *bitReader) read(bits uint) uint64 {
-	var v uint64
-	for i := uint(0); i < bits; i++ {
-		v <<= 1
-		if r.buf[r.pos/8]>>(7-r.pos%8)&1 == 1 {
-			v |= 1
-		}
-		r.pos++
+	w = w&^mask | v<<sh&mask
+	for i := b + n; i > b; i-- {
+		img[i-1] = byte(w)
+		w >>= 8
 	}
-	return v
 }

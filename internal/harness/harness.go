@@ -226,7 +226,7 @@ func collectRunOut(bench string, cfg config.SystemConfig, mem *core.MemSystem, r
 		st := ctrs.Stats
 		out.CtrHits, out.CtrHalfMisses, out.CtrMisses = st.Hits, st.HalfMisses, st.Misses
 		out.CtrIncrements = st.Increments
-		out.FastestIncr, _ = ctrs.FastestCounter()
+		out.FastestIncr = ctrs.FastestCounter()
 		// Per-page fastest counters, for the Section 6.1 analytic work
 		// ratio: a page re-encrypts at the rate of its fastest minor.
 		pageFastest := map[uint64]uint64{}
