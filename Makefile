@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check lint lint-bench lint-fix-audit escape-audit escape-audit-check fuzz-smoke bench perfbench-smoke trace-smoke metrics-baseline metrics-compare ci
+.PHONY: all build test race vet fmt-check lint lint-bench lint-fix-audit escape-audit escape-audit-check fuzz-smoke bench perfbench-smoke paperbench-smoke trace-smoke metrics-baseline metrics-compare ci
 
 all: build
 
@@ -22,7 +22,8 @@ fmt-check:
 
 # Domain-specific crypto-invariant analyzers; see internal/lint and the
 # "Static analysis & invariants" sections of README.md / DESIGN.md. The
-# campaign worker pool's locking is guarded by `race`, not by an analyzer.
+# campaign worker pool shares no state beyond per-index result slots; the
+# harness's serial-versus-parallel test, not an analyzer, guards that.
 lint:
 	$(GO) run ./cmd/secmemlint ./...
 
@@ -81,6 +82,19 @@ perfbench-smoke:
 		echo "perfbench-smoke: $$w ok"; \
 	done
 
+# End-to-end smoke of the figure generator: a tiny run of every paper figure
+# and table (-all) and of every ablation (-ablate) must exit 0 and write
+# JSON that decodes. It checks no numbers; the harness goldens do that.
+PAPERBENCH_DIR = /tmp/secmem-paperbench-smoke
+paperbench-smoke:
+	rm -rf $(PAPERBENCH_DIR) && mkdir -p $(PAPERBENCH_DIR)
+	$(GO) build -o $(PAPERBENCH_DIR)/paperbench ./cmd/paperbench
+	$(PAPERBENCH_DIR)/paperbench -all -instr 2000 -json $(PAPERBENCH_DIR)/all.json >/dev/null
+	$(PAPERBENCH_DIR)/paperbench -ablate -instr 2000 -json $(PAPERBENCH_DIR)/ablate.json >/dev/null
+	python3 -c 'import json, sys; [json.load(open(f)) for f in sys.argv[1:]]' \
+		$(PAPERBENCH_DIR)/all.json $(PAPERBENCH_DIR)/ablate.json
+	@echo "paperbench-smoke: ok (-all and -ablate exit 0, JSON decodes)"
+
 # End-to-end observability smoke: run a tiny instrumented simulation with
 # time-series sampling, check the metrics/trace/timeseries artifact shape
 # with secmemobs -validate (including the sampled counter tracks the trace
@@ -121,4 +135,4 @@ metrics-compare:
 	$(GO) run ./cmd/secmemsim -bench swim -instr 200000 -metrics $(SMOKE_DIR)-fresh.json >/dev/null
 	$(GO) run ./cmd/secmemobs -compare -tol $(METRICS_TOL) BENCH_metrics.json $(SMOKE_DIR)-fresh.json
 
-ci: build vet fmt-check lint escape-audit-check test race fuzz-smoke trace-smoke metrics-compare perfbench-smoke
+ci: build vet fmt-check lint escape-audit-check test race fuzz-smoke trace-smoke metrics-compare perfbench-smoke paperbench-smoke

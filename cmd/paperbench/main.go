@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -103,7 +104,13 @@ func main() {
 			svgs["fig4"] = harness.BarSVG("Figure 4: Memory encryption schemes", d,
 				[]string{"Split", "Mono8b", "Mono16b", "Mono32b", "Mono64b", "Direct"}, harness.Fig4Benches)
 		}},
-		{"table2", func() { tbl, d := r.Table2(); keep("table2_overflow_seconds", tbl, d) }},
+		{"table2", func() {
+			// Seconds to overflow; a counter that never advanced in the run
+			// never overflows (+Inf, "never" in the table), which JSON
+			// cannot encode: it is written as null.
+			tbl, d := r.Table2()
+			keep("table2_overflow_seconds", tbl, infAsNull(d))
+		}},
 		{"fig5", func() {
 			tbl, d := r.Fig5()
 			keep("fig5", tbl, d)
@@ -235,4 +242,20 @@ func main() {
 		f.Close()
 		fmt.Printf("structured results written to %s\n", *jsonOut)
 	}
+}
+
+// infAsNull maps +Inf entries to nil, which encoding/json writes as null.
+func infAsNull(d harness.FigData) map[string]map[string]*float64 {
+	out := make(map[string]map[string]*float64, len(d))
+	for scheme, row := range d {
+		out[scheme] = make(map[string]*float64, len(row))
+		for bench, v := range row {
+			var p *float64
+			if !math.IsInf(v, 1) {
+				p = &v
+			}
+			out[scheme][bench] = p
+		}
+	}
+	return out
 }

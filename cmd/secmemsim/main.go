@@ -168,11 +168,10 @@ func main() {
 	}
 	outs := make([]harness.RunOut, len(benches))
 	if obs.Reg != nil && len(benches) > 1 {
-		// Multi-benchmark metrics: run the campaign in parallel, one
-		// registry shard per worker, and merge deterministically — counters
-		// and histograms sum exactly as the old sequential accumulation
-		// did; gauges report the busiest benchmark.
-		r.WarmBaselines()
+		// Multi-benchmark metrics: run the campaign and its baselines in
+		// parallel, one registry per run, and merge deterministically —
+		// counters and histograms sum exactly as a sequential accumulation
+		// would; gauges report the busiest benchmark.
 		var merged *obsv.Registry
 		outs, merged = r.CampaignObserved(cfg)
 		obs.Reg = merged

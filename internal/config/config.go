@@ -137,7 +137,6 @@ type SystemConfig struct {
 	Enc             EncryptionMode
 	MonoCounterBits int // 8, 16, 32, or 64 (mono and global modes)
 	MinorBits       int // split mode; 7 in the paper
-	MajorBits       int // split mode; 64 in the paper
 	PageBlocks      int // blocks per encryption page; 64 -> 4 KB pages
 	RSRs            int // re-encryption status registers; 8 in the paper
 	// ChargeMonoReenc makes monolithic counter overflow actually perform
@@ -196,7 +195,6 @@ func Default() SystemConfig {
 		Enc:             EncCounterSplit,
 		MonoCounterBits: 64,
 		MinorBits:       7,
-		MajorBits:       64,
 		PageBlocks:      64,
 		RSRs:            8,
 
@@ -249,9 +247,6 @@ func (c SystemConfig) Validate() error {
 	case EncCounterSplit:
 		if c.MinorBits < 1 || c.MinorBits > 16 {
 			return fmt.Errorf("config: minor counter bits %d out of range", c.MinorBits)
-		}
-		if c.MajorBits != 64 {
-			return fmt.Errorf("config: major counter bits %d unsupported (want 64)", c.MajorBits)
 		}
 		if c.PageBlocks <= 0 || c.PageBlocks&(c.PageBlocks-1) != 0 {
 			return fmt.Errorf("config: page blocks %d not a power of two", c.PageBlocks)

@@ -55,7 +55,6 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		{"bad mem size", func(c *SystemConfig) { c.MemBytes = 100 }},
 		{"bad mono bits", func(c *SystemConfig) { c.Enc = EncCounterMono; c.MonoCounterBits = 12 }},
 		{"bad minor bits", func(c *SystemConfig) { c.MinorBits = 0 }},
-		{"bad major bits", func(c *SystemConfig) { c.MajorBits = 32 }},
 		{"bad page blocks", func(c *SystemConfig) { c.PageBlocks = 48 }},
 		{"no RSRs", func(c *SystemConfig) { c.RSRs = 0 }},
 		{"bad MAC bits", func(c *SystemConfig) { c.MACBits = 48 }},

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"secmem/internal/cache"
@@ -268,19 +272,26 @@ func TestPageReencryptionPreservesData(t *testing.T) {
 	}
 }
 
-func TestMonoOverflowWholeMemoryReencrypt(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Enc = config.EncCounterMono
-	cfg.MonoCounterBits = 8
+// wrapCounters writes two blocks, then writes one of them back 256 times,
+// which wraps an 8-bit monolithic or global counter.
+func wrapCounters(t *testing.T, cfg config.SystemConfig) *MemSystem {
+	t.Helper()
 	m := mustSystem(t, cfg)
 	m.WriteBytes(0, 0x5000, bytes.Repeat([]byte{0x77}, 64))
 	m.WriteBytes(0, 0x9000, bytes.Repeat([]byte{0x33}, 64))
 	m.Drain(10)
-	// 256 write-backs of one block wrap its 8-bit counter.
 	for w := 0; w < 256; w++ {
 		m.WriteBytes(uint64(100*w), 0x5000, bytes.Repeat([]byte{byte(w)}, 64))
 		m.Drain(uint64(100*w + 50))
 	}
+	return m
+}
+
+func TestMonoOverflowWholeMemoryReencrypt(t *testing.T) {
+	cfg := smallCfg()
+	cfg.Enc = config.EncCounterMono
+	cfg.MonoCounterBits = 8
+	m := wrapCounters(t, cfg)
 	st := m.Controller().Stats
 	if st.FullReencEvents == 0 {
 		t.Fatal("no whole-memory re-encryption")
@@ -296,6 +307,41 @@ func TestMonoOverflowWholeMemoryReencrypt(t *testing.T) {
 	}
 	if st.TamperDetected != 0 {
 		t.Fatalf("spurious tamper: %d", st.TamperDetected)
+	}
+}
+
+// TestWholeMemoryReencryptImage pins the DRAM image (data, counters and
+// Merkle nodes) left by a whole-memory re-encryption: a sha256 over the
+// written blocks' (address, bytes) pairs in address order.
+func TestWholeMemoryReencryptImage(t *testing.T) {
+	for _, c := range []struct {
+		enc  config.EncryptionMode
+		want string
+	}{
+		{config.EncCounterMono, "7b826b5fa31c007eb2069875634b26958500810fa3395e08ba7125625f1d908c"},
+		{config.EncCounterGlobal, "05701aaa3a9327f9d82ccf5f9e543855800068aa76415455d0ba962814108aa7"},
+	} {
+		cfg := smallCfg()
+		cfg.Enc = c.enc
+		cfg.MonoCounterBits = 8
+		m := wrapCounters(t, cfg)
+		if m.Controller().Stats.FullReencEvents == 0 {
+			t.Fatalf("%v: no whole-memory re-encryption", c.enc)
+		}
+		mem := m.Controller().mem
+		var addrs []uint64
+		mem.ForEachBlock(func(addr uint64) { addrs = append(addrs, addr) })
+		sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
+		h := sha256.New()
+		var blk [BlockSize]byte
+		for _, a := range addrs {
+			mem.ReadBlock(a, blk[:])
+			h.Write(binary.BigEndian.AppendUint64(nil, a))
+			h.Write(blk[:])
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("%v: DRAM image %s, want %s (%d blocks)", c.enc, got, c.want, len(addrs))
+		}
 	}
 }
 

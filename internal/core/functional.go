@@ -289,16 +289,6 @@ func (f *functional) updateParentSlot(addr uint64) {
 	copy(node[lo:hi], mac[:n])
 }
 
-// updateRoot refreshes the root register after the top tree node was
-// written back.
-func (f *functional) updateRoot(addr uint64) {
-	var content [BlockSize]byte
-	f.c.mem.ReadBlock(addr, content[:])
-	var mac [16]byte
-	n := f.computeMac(addr, content[:], f.counterFor(addr), &mac)
-	f.root.Set(mac[:n])
-}
-
 // onReencBlock moves one off-chip block of a re-encrypting page from the
 // old major counter to the new one. Called before the minor is reset, so
 // the old counter is still reconstructible.
@@ -345,50 +335,15 @@ func (f *functional) reencryptAll(now sim.Time) {
 		}
 		blocks = append(blocks, r)
 	})
-	// Phase 2: switch epochs, encrypt every block, then write back in
-	// address order — the same bytes the interleaved loop would produce,
-	// since encryption reads nothing a write-back changes.
+	// Phase 2: switch epochs and write every block back encrypted under
+	// the new one. Each image depends only on its own block's plaintext
+	// and counter, so the visiting order does not matter.
 	f.epoch++
 	f.rekey()
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].addr < blocks[j].addr })
-	cts := make([][BlockSize]byte, len(blocks))
-	switch f.c.cfg.Enc {
-	case config.EncNone, config.EncDirect:
-		for i := range blocks {
-			f.encrypt(cts[i][:], blocks[i].pt[:], blocks[i].addr, f.counterFor(blocks[i].addr))
-		}
-	default:
-		// Counter modes: carve the sorted blocks into contiguous runs and
-		// generate each run's pads with one batched BlockPads call — the
-		// whole-memory re-encryption is the largest transfer the machine
-		// ever makes, so it is where amortized per-block seed setup pays.
-		ctrs := make([]uint64, len(blocks))
-		for i := range blocks {
-			ctrs[i] = f.counterFor(blocks[i].addr)
-		}
-		var runs [][2]int
-		for lo := 0; lo < len(blocks); {
-			hi := lo + 1
-			for hi < len(blocks) && blocks[hi].addr == blocks[hi-1].addr+BlockSize {
-				hi++
-			}
-			runs = append(runs, [2]int{lo, hi})
-			lo = hi
-		}
-		pads := make([]byte, len(blocks)*BlockSize)
-		for _, r := range runs {
-			lo, hi := r[0], r[1]
-			f.pads.BlockPads(pads[lo*BlockSize:hi*BlockSize], blocks[lo].addr, ctrs[lo:hi])
-		}
-		for i := range blocks {
-			pad := pads[i*BlockSize : (i+1)*BlockSize]
-			for b := 0; b < BlockSize; b++ {
-				cts[i][b] = blocks[i].pt[b] ^ pad[b]
-			}
-		}
-	}
-	for i, r := range blocks {
-		f.c.mem.WriteBlock(r.addr, cts[i][:])
+	for _, r := range blocks {
+		var ct [BlockSize]byte
+		f.encrypt(ct[:], r.pt[:], r.addr, f.counterFor(r.addr))
+		f.c.mem.WriteBlock(r.addr, ct[:])
 	}
 	if f.c.cfg.Auth != config.AuthNone {
 		f.rebuildTree(now)

@@ -98,7 +98,7 @@ func (c *Controller) updateParentMac(now sim.Time, addr uint64) {
 		// The block is the top tree node: its MAC lives in the on-chip
 		// root register — no memory traffic.
 		if c.fn != nil {
-			c.fn.updateRoot(addr)
+			c.fn.updateParentSlot(addr)
 		}
 		return
 	}

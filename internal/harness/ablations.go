@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"sync"
 
 	"secmem/internal/config"
 	"secmem/internal/stats"
@@ -35,71 +34,36 @@ type AblationRow struct {
 }
 
 // sweep runs a set of split-counter variants and averages normalized IPC
-// and re-encryption statistics over the campaign's benchmarks.
+// and re-encryption statistics over the campaign's benchmarks. Each
+// configuration is normalized against an unprotected machine with the SAME
+// L2 (normRuns), so stress-sized L2s don't masquerade as scheme overhead.
 func (r *Runner) sweep(mk func() []config.SystemConfig, labels []string) []AblationRow {
 	benches := r.Opt.benches()
 	cfgs := mk()
-	rows := make([]AblationRow, len(cfgs))
-	type job struct{ ci, bi int }
-	var jobs []job
-	for ci := range cfgs {
-		for bi := range benches {
-			jobs = append(jobs, job{ci, bi})
+	var jobs []runJob
+	for _, cfg := range cfgs {
+		for _, b := range benches {
+			jobs = append(jobs, runJob{b, cfg})
 		}
 	}
-	sums := make([]struct {
-		ipc    []float64
-		reencs uint64
-		stalls uint64
-		cycles []float64
-	}, len(cfgs))
-	// Normalize each configuration against an unprotected machine with the
-	// SAME cache geometry, so stress-sized L2s don't masquerade as scheme
-	// overhead.
-	baseIPC := make(map[string]float64)
-	var baseMu sync.Mutex
-	baselineFor := func(bench string, cfg config.SystemConfig) float64 {
-		key := fmt.Sprintf("%s/%d", bench, cfg.L2.SizeBytes)
-		baseMu.Lock()
-		v, ok := baseIPC[key]
-		baseMu.Unlock()
-		if ok {
-			return v
-		}
-		b := config.Baseline()
-		b.L2 = cfg.L2
-		v = r.Run(bench, b).IPC
-		baseMu.Lock()
-		baseIPC[key] = v
-		baseMu.Unlock()
-		return v
-	}
-	outs := make([]RunOut, len(jobs))
-	norms := make([]float64, len(jobs))
-	r.parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		outs[i] = r.Run(benches[j.bi], cfgs[j.ci])
-		norms[i] = outs[i].IPC / baselineFor(benches[j.bi], cfgs[j.ci])
-	})
+	outs, norms := r.normRuns(jobs)
 	// Reduced in job order after the join, so each configuration's means
 	// sum its benchmarks in campaign order whatever the scheduling.
-	for i, j := range jobs {
-		s := &sums[j.ci]
-		s.ipc = append(s.ipc, norms[i])
-		s.reencs += outs[i].RSR.PageReencs
-		s.stalls += uint64(outs[i].RSR.StallCycles)
-		if outs[i].RSR.PageReencs > 0 {
-			s.cycles = append(s.cycles, outs[i].RSR.MeanCycles())
-		}
-	}
+	rows := make([]AblationRow, len(cfgs))
 	for ci := range cfgs {
-		rows[ci] = AblationRow{
-			Label:       labels[ci],
-			NormIPC:     stats.Mean(sums[ci].ipc),
-			PageReencs:  sums[ci].reencs,
-			StallCycles: sums[ci].stalls,
-			MeanCycles:  stats.Mean(sums[ci].cycles),
+		var cycles []float64
+		row := AblationRow{Label: labels[ci]}
+		lo := ci * len(benches)
+		for _, out := range outs[lo : lo+len(benches)] {
+			row.PageReencs += out.RSR.PageReencs
+			row.StallCycles += uint64(out.RSR.StallCycles)
+			if out.RSR.PageReencs > 0 {
+				cycles = append(cycles, out.RSR.MeanCycles())
+			}
 		}
+		row.NormIPC = stats.Mean(norms[lo : lo+len(benches)])
+		row.MeanCycles = stats.Mean(cycles)
+		rows[ci] = row
 	}
 	return rows
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"secmem/internal/config"
 	"secmem/internal/core"
@@ -44,48 +43,33 @@ func (d FigData) set(scheme, bench string, v float64) {
 	d[scheme][bench] = v
 }
 
-// normGrid runs a set of schemes over all benchmarks in parallel and
-// returns normalized IPCs plus per-run outputs.
+// normGrid runs a set of schemes over all benchmarks and returns
+// normalized IPCs plus per-run outputs.
 func (r *Runner) normGrid(schemes map[string]config.SystemConfig) (FigData, map[string]map[string]RunOut) {
-	r.WarmBaselines()
 	benches := r.Opt.benches()
-	type job struct{ scheme, bench string }
-	var jobs []job
 	names := make([]string, 0, len(schemes))
 	for name := range schemes {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	var jobs []runJob
 	for _, s := range names {
 		for _, b := range benches {
-			jobs = append(jobs, job{s, b})
+			jobs = append(jobs, runJob{b, schemes[s]})
 		}
 	}
+	runs, norms := r.normRuns(jobs)
 	data := make(FigData)
 	outs := make(map[string]map[string]RunOut)
-	var mu sync.Mutex
-	r.parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		out := r.Run(j.bench, schemes[j.scheme])
-		norm := 0.0
-		if base := r.Baseline(j.bench); base > 0 {
-			norm = out.IPC / base
+	for si, s := range names {
+		outs[s] = make(map[string]RunOut)
+		for bi, b := range benches {
+			i := si*len(benches) + bi
+			data.set(s, b, norms[i])
+			outs[s][b] = runs[i]
 		}
-		mu.Lock()
-		data.set(j.scheme, j.bench, norm)
-		if outs[j.scheme] == nil {
-			outs[j.scheme] = make(map[string]RunOut)
-		}
-		outs[j.scheme][j.bench] = out
-		mu.Unlock()
-	})
-	// Averages across all benchmarks in the campaign.
-	for _, s := range names {
-		var vs []float64
-		for _, b := range benches {
-			vs = append(vs, data[s][b])
-		}
-		data.set(s, "Avg", stats.Mean(vs))
+		// Average across all benchmarks in the campaign.
+		data.set(s, "Avg", stats.Mean(norms[si*len(benches):(si+1)*len(benches)]))
 	}
 	return data, outs
 }
@@ -150,26 +134,19 @@ func (r *Runner) Table2() (stats.Table, FigData) {
 		{"Global32b", EncOnly(config.EncCounterGlobal, 32), 32, true},
 	}
 	benches := r.Opt.benches()
-	data := make(FigData)
-	overflow := make(FigData)
-	var mu sync.Mutex
-	var jobs []struct {
-		d schemeDef
-		b string
-	}
+	var jobs []runJob
 	for _, d := range defs {
 		for _, b := range benches {
-			jobs = append(jobs, struct {
-				d schemeDef
-				b string
-			}{d, b})
+			jobs = append(jobs, runJob{b, d.cfg})
 		}
 	}
-	r.parallelFor(len(jobs), func(i int) {
-		j := jobs[i]
-		out := r.Run(j.b, j.d.cfg)
+	outs := r.runAll(jobs)
+	data := make(FigData)
+	overflow := make(FigData)
+	for i, out := range outs {
+		d, b := defs[i/len(benches)], benches[i%len(benches)]
 		incr := out.FastestIncr
-		if j.d.global {
+		if d.global {
 			incr = out.CtrIncrements
 		}
 		rate := 0.0
@@ -178,13 +155,11 @@ func (r *Runner) Table2() (stats.Table, FigData) {
 		}
 		ttf := math.Inf(1)
 		if rate > 0 {
-			ttf = math.Pow(2, float64(j.d.bits)) / rate
+			ttf = math.Pow(2, float64(d.bits)) / rate
 		}
-		mu.Lock()
-		data.set(j.d.name, j.b, rate)
-		overflow.set(j.d.name, j.b, ttf)
-		mu.Unlock()
-	})
+		data.set(d.name, b, rate)
+		overflow.set(d.name, b, ttf)
+	}
 	for _, d := range defs {
 		var rates []float64
 		for _, b := range benches {
@@ -260,31 +235,34 @@ type Fig6aResult struct {
 
 // Fig6a regenerates Figure 6(a): split counters versus counter prediction.
 func (r *Runner) Fig6a() (stats.Table, Fig6aResult) {
-	r.WarmBaselines()
 	benches := r.Opt.benches()
+	n := len(benches)
+	jobs := make([]runJob, n)
+	for i, b := range benches {
+		jobs[i] = runJob{b, EncOnly(config.EncCounterSplit, 64)}
+	}
+	outs, ipcSplit := r.normRuns(jobs)
 	// Per-bench slots, averaged in bench order after the join: float
 	// addition is not associative, so appending in completion order would
 	// make the averages depend on scheduling.
-	n := len(benches)
-	hit, hitHalf, timelySplit, ipcSplit := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	hit, hitHalf, timelySplit := make([]float64, n), make([]float64, n), make([]float64, n)
 	pred1Rate, timely1, ipc1 := make([]float64, n), make([]float64, n), make([]float64, n)
 	timely2, ipc2 := make([]float64, n), make([]float64, n)
-	splitCfg := EncOnly(config.EncCounterSplit, 64)
-	r.parallelFor(n, func(i int) {
-		b := benches[i]
-		out := r.Run(b, splitCfg)
-		base := r.Baseline(b)
-		p1res, p1 := r.RunPredictor(b, 1)
-		p2res, p2 := r.RunPredictor(b, 2)
+	base := make([]float64, n)
+	for i, out := range outs {
 		hit[i] = out.CtrHitRate()
 		hitHalf[i] = out.CtrHitPlusHalf()
 		timelySplit[i] = out.TimelyPadRate()
-		ipcSplit[i] = out.IPC / base
+		base[i] = r.Baseline(benches[i]) // cached by normRuns
+	}
+	r.parallelFor(n, func(i int) {
+		p1res, p1 := r.RunPredictor(benches[i], 1)
+		p2res, p2 := r.RunPredictor(benches[i], 2)
 		pred1Rate[i] = p1.PredictionRate()
 		timely1[i] = p1.TimelyPadRate()
-		ipc1[i] = p1res.IPC() / base
+		ipc1[i] = p1res.IPC() / base[i]
 		timely2[i] = p2.TimelyPadRate()
-		ipc2[i] = p2res.IPC() / base
+		ipc2[i] = p2res.IPC() / base[i]
 	})
 	res := Fig6aResult{
 		SNCHit:         stats.Mean(hit),
@@ -507,21 +485,20 @@ func (r *Runner) Scalars() (stats.Table, ScalarsResult) {
 	// The rate-measurement configuration is the paper's default.
 	rateCfg := EncOnly(config.EncCounterSplit, 64)
 	memBlocks := float64(rateCfg.MemBytes / 64)
-	stressOuts := make([]RunOut, len(benches))
-	rateOuts := make([]RunOut, len(benches))
-	r.parallelFor(len(benches), func(i int) {
-		stressOuts[i] = r.Run(benches[i], stressCfg)
-		rateOuts[i] = r.Run(benches[i], rateCfg)
-	})
+	var jobs []runJob
+	for _, b := range benches {
+		jobs = append(jobs, runJob{b, stressCfg}, runJob{b, rateCfg})
+	}
+	outs := r.runAll(jobs)
 	// Reduced in bench order after the join: float addition is not
-	// associative, so accumulating across workers in completion order
-	// would make the scalars interleaving-dependent.
+	// associative, so accumulating in completion order would make the
+	// scalars interleaving-dependent.
 	var onchip, meancyc []float64
 	maxConc := 0
 	var stalls, reencs uint64
 	var splitRate, monoRate float64 // re-encrypted blocks per second
 	for i := range benches {
-		stress, rate := stressOuts[i], rateOuts[i]
+		stress, rate := outs[2*i], outs[2*i+1]
 		if stress.RSR.PageReencs > 0 {
 			onchip = append(onchip, stress.RSR.OnChipFraction())
 			meancyc = append(meancyc, stress.RSR.MeanCycles())

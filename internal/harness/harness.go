@@ -3,9 +3,12 @@
 // workload, normalizes IPC against the unprotected baseline, and formats
 // each of the paper's tables and figures.
 //
-// Runs are independent, so the harness fans them out across CPUs; results
-// are deterministic for a given (options, scheme) regardless of
-// parallelism.
+// Runs are independent, so every campaign hands its (benchmark, config)
+// jobs to one private fan-out, runAll, which simulates each distinct pair
+// once on the worker pool. Workers write only their own per-index result
+// slot and share no other state; the coordinating goroutine reduces the
+// slots in job order after the join, so results are byte-identical for any
+// Parallelism.
 package harness
 
 import (
@@ -111,48 +114,37 @@ func (r RunOut) TimelyPadRate() float64 {
 	return float64(r.Ctl.TimelyPads) / float64(r.Ctl.PadReads)
 }
 
-// Runner executes runs and caches baseline IPCs.
+// Runner executes runs and caches baseline IPCs. A Runner is not safe for
+// concurrent use: its campaigns parallelize internally, and only the
+// goroutine that called the campaign method touches the Runner's state.
 type Runner struct {
 	Opt Options
 
-	mu        sync.Mutex
-	baselines map[string]float64
+	// baselines caches unprotected-machine IPCs by job: the baseline
+	// config carries the L2 of the machines it normalizes.
+	baselines map[runJob]float64
 	tableErr  error
 }
 
-// noteTableErr records the first malformed-figure-row error. Figure tables
-// are assembled from dynamic slices; an arity bug should fail the whole run
-// with context (via Err) rather than panic mid-campaign.
-func (r *Runner) noteTableErr(err error) {
-	r.mu.Lock()
-	if r.tableErr == nil {
-		r.tableErr = err
+// addRow appends a dynamically assembled row via TryAddRow. A malformed
+// row becomes the first table-assembly error (reported by Err) instead of
+// a panic mid-campaign.
+func (r *Runner) addRow(tbl *stats.Table, cells ...string) {
+	if err := tbl.TryAddRow(cells...); err != nil && r.tableErr == nil {
+		r.tableErr = fmt.Errorf("harness: %w (row %q)", err, cells)
 	}
-	r.mu.Unlock()
 }
 
 // Err reports the first table-assembly error encountered by any figure or
 // ablation built so far; drivers check it after rendering and fail the run.
-func (r *Runner) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.tableErr
-}
-
-// addRow appends a dynamically assembled row via TryAddRow, converting a
-// malformed row into a run-failing error that names the table and row.
-func (r *Runner) addRow(tbl *stats.Table, cells ...string) {
-	if err := tbl.TryAddRow(cells...); err != nil {
-		r.noteTableErr(fmt.Errorf("harness: %w (row %q)", err, cells))
-	}
-}
+func (r *Runner) Err() error { return r.tableErr }
 
 // New builds a Runner.
 func New(opt Options) *Runner {
 	if opt.Instructions == 0 {
 		opt.Instructions = DefaultOptions().Instructions
 	}
-	return &Runner{Opt: opt, baselines: make(map[string]float64)}
+	return &Runner{Opt: opt, baselines: make(map[runJob]float64)}
 }
 
 // Obs bundles the observability sinks of an instrumented run. Any field
@@ -255,35 +247,43 @@ func collectRunOut(bench string, cfg config.SystemConfig, mem *core.MemSystem, r
 	return out
 }
 
-// CampaignObserved runs every benchmark in the campaign against cfg in
-// parallel, each run recording into its own shard of a sharded registry,
-// and returns the per-benchmark results in campaign order plus the
-// deterministic name-sorted merge of all shards. No registry is ever
-// touched by two goroutines, and the merged snapshot is independent of
-// scheduling.
+// CampaignObserved runs every benchmark in the campaign against cfg, each
+// run recording into its own registry, and returns the per-benchmark
+// results in campaign order plus the deterministic merge of the
+// registries. The baselines Baseline would otherwise run one by one are
+// simulated, unobserved, in the same fan-out and cached after the join.
 func (r *Runner) CampaignObserved(cfg config.SystemConfig) ([]RunOut, *obsv.Registry) {
 	benches := r.Opt.benches()
-	sh := obsv.NewSharded(len(benches))
-	outs := make([]RunOut, len(benches))
-	r.parallelFor(len(benches), func(i int) {
-		outs[i] = r.RunObserved(benches[i], cfg, Obs{Reg: sh.Shard(i)})
+	var base []runJob
+	for _, b := range benches {
+		if j := baselineJob(b, config.Baseline()); !r.cached(j) {
+			base = append(base, j)
+		}
+	}
+	n := len(benches)
+	regs := make([]*obsv.Registry, n)
+	outs := make([]RunOut, n+len(base))
+	r.parallelFor(len(outs), func(i int) {
+		if i >= n {
+			outs[i] = r.Run(base[i-n].bench, base[i-n].cfg)
+			return
+		}
+		regs[i] = obsv.NewRegistry()
+		outs[i] = r.RunObserved(benches[i], cfg, Obs{Reg: regs[i]})
 	})
-	return outs, sh.Merge()
+	for k, j := range base {
+		r.baselines[j] = outs[n+k].IPC
+	}
+	return outs[:n], obsv.Merge(regs...)
 }
 
 // Baseline returns the unprotected-machine IPC for a benchmark, cached.
 func (r *Runner) Baseline(bench string) float64 {
-	r.mu.Lock()
-	v, ok := r.baselines[bench]
-	r.mu.Unlock()
-	if ok {
-		return v
+	j := baselineJob(bench, config.Baseline())
+	if !r.cached(j) {
+		r.baselines[j] = r.Run(bench, j.cfg).IPC
 	}
-	out := r.Run(bench, config.Baseline())
-	r.mu.Lock()
-	r.baselines[bench] = out.IPC
-	r.mu.Unlock()
-	return out.IPC
+	return r.baselines[j]
 }
 
 // NormIPC runs a configuration and normalizes its IPC to the baseline.
@@ -295,13 +295,72 @@ func (r *Runner) NormIPC(bench string, cfg config.SystemConfig) float64 {
 	return r.Run(bench, cfg).IPC / base
 }
 
-// WarmBaselines computes all baselines in parallel so subsequent figure
-// loops don't serialize on them.
-func (r *Runner) WarmBaselines() {
-	benches := r.Opt.benches()
-	r.parallelFor(len(benches), func(i int) {
-		r.Baseline(benches[i])
+// runJob is one simulation of a campaign. It is comparable, so identical
+// jobs collapse to one map key.
+type runJob struct {
+	bench string
+	cfg   config.SystemConfig
+}
+
+// baselineJob is the unprotected machine that normalizes bench under cfg.
+// It has cfg's L2, so a stress-sized L2 does not masquerade as scheme
+// overhead.
+func baselineJob(bench string, cfg config.SystemConfig) runJob {
+	b := config.Baseline()
+	b.L2 = cfg.L2
+	return runJob{bench, b}
+}
+
+func (r *Runner) cached(j runJob) bool {
+	_, ok := r.baselines[j]
+	return ok
+}
+
+// runAll is the harness's one fan-out: it simulates each distinct job once
+// on the worker pool, each into its own slot, and returns one RunOut per
+// job in job order. Duplicate jobs share a RunOut.
+func (r *Runner) runAll(jobs []runJob) []RunOut {
+	slot := make(map[runJob]int, len(jobs))
+	var distinct []runJob
+	for _, j := range jobs {
+		if _, ok := slot[j]; !ok {
+			slot[j] = len(distinct)
+			distinct = append(distinct, j)
+		}
+	}
+	outs := make([]RunOut, len(distinct))
+	r.parallelFor(len(distinct), func(i int) {
+		outs[i] = r.Run(distinct[i].bench, distinct[i].cfg)
 	})
+	res := make([]RunOut, len(jobs))
+	for i, j := range jobs {
+		res[i] = outs[slot[j]]
+	}
+	return res
+}
+
+// normRuns runs jobs through runAll together with every baseline they
+// need that is not cached yet, records those baselines after the join,
+// and returns each job's RunOut and its IPC normalized against its
+// baseline (zero for a zero baseline).
+func (r *Runner) normRuns(jobs []runJob) ([]RunOut, []float64) {
+	all := append([]runJob(nil), jobs...)
+	for _, j := range jobs {
+		if b := baselineJob(j.bench, j.cfg); !r.cached(b) {
+			all = append(all, b)
+		}
+	}
+	outs := r.runAll(all)
+	for i := len(jobs); i < len(all); i++ {
+		r.baselines[all[i]] = outs[i].IPC
+	}
+	norms := make([]float64, len(jobs))
+	for i, j := range jobs {
+		if base := r.baselines[baselineJob(j.bench, j.cfg)]; base > 0 {
+			norms[i] = outs[i].IPC / base
+		}
+	}
+	return outs[:len(jobs)], norms
 }
 
 // workerCount resolves Options.Parallelism to an actual worker count,

@@ -10,7 +10,7 @@ import (
 // Determinism is the reproducibility gate: two runs of the simulator with
 // the same configuration must produce byte-identical artifacts (the
 // campaign fingerprints in internal/harness pin this end to end; this
-// analyzer pins the code patterns that break it). Three rules:
+// analyzer pins the code patterns that break it). Two rules:
 //
 //  1. Map iteration order is randomized per run, so a `range` over a map
 //     must not reach an ordered sink. Flagged inside a map-range body:
@@ -29,21 +29,15 @@ import (
 //     the sanctioned source and pass; the timing-harness commands under
 //     cmd/ measure real wall time and are out of scope by path.
 //
-//  3. Floating-point accumulation (+= / -= or x = x + y on floats) into
-//     state captured from outside a concurrent body reorders across
-//     goroutine interleavings, and float addition is not associative.
-//     Accumulate into worker-local state and reduce in a fixed order
-//     after the join instead.
-//
-// Lexical soundness caveats: rule 1 sees appends and sink calls written
+// Lexical soundness caveat: rule 1 sees appends and sink calls written
 // directly in the range body; an append hidden behind a locally bound
-// closure called from the loop is not attributed to the loop. Rule 3 sees
-// accumulation, not collection: floats appended in completion order and
-// averaged after the join escape it, and the harness's serial-versus-
-// parallel comparison test catches those instead.
+// closure called from the loop is not attributed to the loop. Scheduling
+// order is not judged here: campaign workers write only per-index slots,
+// and the harness's serial-versus-parallel test compares every campaign's
+// output across worker counts.
 var Determinism = &Analyzer{
 	Name: "determinism",
-	Doc:  "no map-order, wall-clock, or float-merge nondeterminism in simulation outputs",
+	Doc:  "no map-order or wall-clock nondeterminism in simulation outputs",
 	Run:  runDeterminism,
 }
 
@@ -57,10 +51,6 @@ var orderedSinkNames = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) {
-	ip := pass.secrets.interp
-	if ip == nil {
-		return
-	}
 	info := pass.Pkg.Info
 	for _, f := range pass.Pkg.Files {
 		funcBodies(f, func(body *ast.BlockStmt) {
@@ -68,7 +58,6 @@ func runDeterminism(pass *Pass) {
 		})
 	}
 	checkWallClock(pass)
-	checkFloatMerge(pass)
 }
 
 // checkMapRanges applies rule 1 to one function body (nested literals get
@@ -235,95 +224,6 @@ func checkWallClock(pass *Pass) {
 func internalPath(path string) bool {
 	return path == "internal" || strings.HasPrefix(path, "internal/") ||
 		strings.Contains(path, "/internal/") || strings.HasSuffix(path, "/internal")
-}
-
-// checkFloatMerge applies rule 3 over the module-wide concurrent-body sets
-// (concurrency.go), computed once per Run.
-func checkFloatMerge(pass *Pass) {
-	ip := pass.secrets.interp
-	cc := ip.concurrency()
-	flagged := make(map[token.Pos]bool)
-	check := func(pkg *Package, blk *ast.BlockStmt) {
-		if pkg != pass.Pkg {
-			return
-		}
-		info := pkg.Info
-		inspectSkipFuncLits(blk, func(n ast.Node) {
-			as, ok := n.(*ast.AssignStmt)
-			if !ok {
-				return
-			}
-			var target ast.Expr
-			switch as.Tok {
-			case token.ADD_ASSIGN, token.SUB_ASSIGN:
-				target = as.Lhs[0]
-			case token.ASSIGN:
-				// x = x + y (or x - y) on floats counts too.
-				if len(as.Lhs) != 1 || len(as.Rhs) != 1 {
-					return
-				}
-				bin, ok := ast.Unparen(as.Rhs[0]).(*ast.BinaryExpr)
-				if !ok || (bin.Op != token.ADD && bin.Op != token.SUB) {
-					return
-				}
-				if coreName(as.Lhs[0]) == "" || coreName(as.Lhs[0]) != coreName(bin.X) {
-					return
-				}
-				target = as.Lhs[0]
-			default:
-				return
-			}
-			id, _ := writeRoot(info, target)
-			if id == nil {
-				return
-			}
-			obj := info.Uses[id]
-			if obj == nil {
-				obj = info.Defs[id]
-			}
-			if obj == nil || flagged[id.Pos()] {
-				return
-			}
-			v, ok := obj.(*types.Var)
-			if !ok {
-				return
-			}
-			if !floatType(info.Types[target].Type) {
-				return
-			}
-			// Only state captured from outside the concurrent body (or
-			// package-level) merges across goroutines; body-locals are
-			// worker-private and fine.
-			if v.Pos() >= blk.Pos() && v.Pos() <= blk.End() &&
-				!(v.Pkg() != nil && v.Parent() == v.Pkg().Scope()) {
-				return
-			}
-			flagged[id.Pos()] = true
-			pass.Reportf(id.Pos(),
-				"float accumulation into %s inside a concurrent body is interleaving-dependent (float addition is not associative); accumulate per worker and reduce in a fixed order after the join",
-				v.Name())
-		})
-	}
-	for lit, isConc := range cc.conc {
-		if isConc {
-			check(cc.scan.pkgOf[lit], lit.Body)
-		}
-	}
-	for fn, isConc := range cc.concFuncs {
-		if isConc {
-			if decl := ip.graph.decls[fn]; decl != nil {
-				check(ip.graph.pkgOf[fn], decl.Body)
-			}
-		}
-	}
-}
-
-func floatType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	b, ok := t.Underlying().(*types.Basic)
-	return ok && b.Info()&types.IsFloat != 0
 }
 
 // funcBodies yields every function-like body in a file — each FuncDecl body

@@ -17,8 +17,8 @@
 //     of secret state.
 //   - globalmut: no mutable package-level state in the simulator core
 //     packages, so every machine is independently instantiable.
-//   - determinism: no map-iteration order, wall clock, or cross-goroutine
-//     float accumulation may reach simulation outputs.
+//   - determinism: no map-iteration order or wall clock may reach
+//     simulation outputs.
 //
 // secretflow and taintescape ride on the taint/dataflow engine in
 // taint.go, seeded by "//secmemlint:secret" annotations on the real key,
@@ -35,10 +35,11 @@
 // testing.AllocsPerRun tests measure every root at zero allocations.
 //
 // The compiler cannot see any of these properties; the analyzers keep all
-// packages honest through refactors. Locking in the one worker pool
-// (harness.parallelFor) is left to go test -race over the harness's
-// serial-versus-parallel test. cmd/secmemlint is the CLI driver and
-// lint_test.go pins the real repository to zero findings.
+// packages honest through refactors. Scheduling order is not an analyzer's
+// job: the harness's one worker pool (parallelDo) shares no state beyond
+// per-index result slots, and its serial-versus-parallel test compares
+// every campaign across worker counts. cmd/secmemlint is the CLI front end
+// and lint_test.go pins the real repository to zero findings.
 package lint
 
 import (

@@ -207,9 +207,6 @@ type interproc struct {
 	// secretGlobals records package-level variables promoted to secret
 	// because some call chain stores secret-derived data into them.
 	secretGlobals map[types.Object]bool
-	// conc caches determinism's concurrent-body discovery
-	// (concurrency.go).
-	conc *concurrency
 }
 
 // maxGlobalRounds bounds the outer fixpoint that promotes secret-receiving

@@ -1,7 +1,6 @@
 // Package clean exercises the determinism analyzer's negatives: the
 // collect-then-sort idiom, sorted-key iteration, commutative updates inside
-// map ranges, explicitly seeded randomness, and per-worker float
-// contributions reduced in a fixed order after the join.
+// map ranges, and explicitly seeded randomness.
 package clean
 
 import (
@@ -9,22 +8,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 )
-
-func parallelFor(n int, fn func(int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // render iterates sorted keys before emitting: deterministic output.
 func render(m map[string]int) string {
@@ -57,22 +41,4 @@ func tally(m map[string]int) (int, map[string]bool) {
 func deterministicDraw(seed int64) int {
 	r := rand.New(rand.NewSource(seed))
 	return r.Intn(100)
-}
-
-// sumParallel accumulates per worker and reduces in index order after the
-// join, so the float sum is interleaving-independent.
-func sumParallel(parts [][]float64) float64 {
-	contrib := make([]float64, len(parts))
-	parallelFor(len(parts), func(i int) {
-		local := 0.0
-		for _, v := range parts[i] {
-			local += v // worker-private accumulator
-		}
-		contrib[i] = local
-	})
-	var total float64
-	for i := range contrib {
-		total += contrib[i]
-	}
-	return total
 }

@@ -1,32 +1,14 @@
 // Package violating exercises the determinism analyzer's positive cases:
-// ordered sinks and unsorted appends inside map ranges, wall-clock and
-// process-global randomness in an internal package, and float accumulation
-// across a concurrent merge point.
+// ordered sinks and unsorted appends inside map ranges, and wall-clock and
+// process-global randomness in an internal package.
 package violating
 
 import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 )
-
-// parallelFor mimics the harness worker pool: fn runs on worker
-// goroutines, so every literal bound to fn is a concurrent body.
-func parallelFor(n int, fn func(int)) {
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // emitInMapOrder prints while ranging a map: output order changes per run.
 func emitInMapOrder(m map[string]int) {
@@ -54,20 +36,4 @@ func stamp() int64 {
 // jitter draws from the process-global generator, reseeded every run.
 func jitter() int {
 	return rand.Intn(8) // want "rand.Intn draws from the process-global generator"
-}
-
-var weight float64
-
-// meanLatency merges float partial sums under a lock: the lock serializes
-// but does not order, and float addition is not associative.
-func meanLatency(xs []float64) float64 {
-	var mu sync.Mutex
-	total := 0.0
-	parallelFor(len(xs), func(i int) {
-		mu.Lock()
-		total += xs[i]          // want "float accumulation into total inside a concurrent body"
-		weight = weight + xs[i] // want "float accumulation into weight inside a concurrent body"
-		mu.Unlock()
-	})
-	return total / float64(len(xs))
 }

@@ -13,6 +13,10 @@
 //
 // The registry snapshot is deterministic: the same simulated run produces
 // byte-identical JSON, which the trace-smoke CI target relies on.
+//
+// Nothing here locks. A Registry, Recorder or Sampler belongs to the one
+// goroutine that runs its simulation; a parallel campaign gives every run
+// its own Registry and combines them with Merge after the join.
 package obsv
 
 import (

@@ -6,24 +6,21 @@ import (
 )
 
 func TestShardedMergeSemantics(t *testing.T) {
-	sh := NewSharded(3)
-	if sh.Shards() != 3 {
-		t.Fatalf("Shards() = %d, want 3", sh.Shards())
-	}
-	// Counters sum; names present in only some shards still merge.
-	sh.Shard(0).Counter("ctl.fill").Add(10)
-	sh.Shard(1).Counter("ctl.fill").Add(32)
-	sh.Shard(2).Counter("only.here").Inc()
-	// Gauges take the max across shards that set them.
-	sh.Shard(0).SetGauge("bus.util", 0.25)
-	sh.Shard(2).SetGauge("bus.util", 0.75)
-	sh.Shard(1).SetGauge("solo", -2)
+	sh := []*Registry{NewRegistry(), NewRegistry(), NewRegistry()}
+	// Counters sum; names present in only some registries still merge.
+	sh[0].Counter("ctl.fill").Add(10)
+	sh[1].Counter("ctl.fill").Add(32)
+	sh[2].Counter("only.here").Inc()
+	// Gauges take the max across registries that set them.
+	sh[0].SetGauge("bus.util", 0.25)
+	sh[2].SetGauge("bus.util", 0.75)
+	sh[1].SetGauge("solo", -2)
 	// Histograms merge bucket-wise with min/max combined.
-	sh.Shard(0).Histogram("lat").Observe(4)
-	sh.Shard(0).Histogram("lat").Observe(100)
-	sh.Shard(2).Histogram("lat").Observe(1)
+	sh[0].Histogram("lat").Observe(4)
+	sh[0].Histogram("lat").Observe(100)
+	sh[2].Histogram("lat").Observe(1)
 
-	m := sh.Merge()
+	m := Merge(sh...)
 	if got := m.Counter("ctl.fill").Value(); got != 42 {
 		t.Errorf("merged ctl.fill = %d, want 42", got)
 	}
@@ -52,14 +49,14 @@ func TestShardedMergeSemantics(t *testing.T) {
 
 func TestShardedMergeDeterministic(t *testing.T) {
 	build := func(order []int) string {
-		sh := NewSharded(4)
+		sh := []*Registry{NewRegistry(), NewRegistry(), NewRegistry(), NewRegistry()}
 		for _, i := range order {
-			sh.Shard(i).Counter("c.a").Add(uint64(i + 1))
-			sh.Shard(i).SetGauge("g.x", float64(i))
-			sh.Shard(i).Histogram("h.l").Observe(uint64(1 << i))
+			sh[i].Counter("c.a").Add(uint64(i + 1))
+			sh[i].SetGauge("g.x", float64(i))
+			sh[i].Histogram("h.l").Observe(uint64(1 << i))
 		}
 		var buf bytes.Buffer
-		if err := sh.Merge().WriteJSON(&buf); err != nil {
+		if err := Merge(sh...).WriteJSON(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String()
@@ -67,61 +64,45 @@ func TestShardedMergeDeterministic(t *testing.T) {
 	a := build([]int{0, 1, 2, 3})
 	b := build([]int{3, 1, 0, 2})
 	if a != b {
-		t.Error("merge output depends on shard fill order")
+		t.Error("merge output depends on registry fill order")
 	}
 }
 
 func TestShardedEmptyShardsIgnored(t *testing.T) {
-	sh := NewSharded(2)
-	sh.Shard(0).Histogram("lat").Observe(7)
-	// Shard 1 registers the histogram but never observes: its zero min must
-	// not clobber the merged min.
-	sh.Shard(1).Histogram("lat")
-	h := sh.Merge().Snapshot().Histograms["lat"]
+	sh := []*Registry{NewRegistry(), NewRegistry()}
+	sh[0].Histogram("lat").Observe(7)
+	// Registry 1 registers the histogram but never observes: its zero min
+	// must not clobber the merged min.
+	sh[1].Histogram("lat")
+	h := Merge(sh...).Snapshot().Histograms["lat"]
 	if h.Min != 7 || h.Max != 7 || h.Count != 1 {
-		t.Errorf("empty shard polluted merge: min %d max %d count %d", h.Min, h.Max, h.Count)
+		t.Errorf("empty registry polluted merge: min %d max %d count %d", h.Min, h.Max, h.Count)
 	}
 }
 
-func TestShardedNilSafety(t *testing.T) {
-	var sh *ShardedRegistry
-	if sh.Shards() != 0 {
-		t.Error("nil sharded registry has shards")
+// TestMergeNothing: a campaign of zero runs merges to an empty, usable
+// registry.
+func TestMergeNothing(t *testing.T) {
+	m := Merge()
+	if m == nil || len(m.CounterNames())+len(m.GaugeNames())+len(m.HistogramNames()) != 0 {
+		t.Fatal("merge of no registries not empty")
 	}
-	if sh.Shard(3) != nil {
-		t.Error("nil sharded registry hands out non-nil shard")
-	}
-	// The nil shard's handles must be usable.
-	sh.Shard(0).Counter("x").Inc()
-	m := sh.Merge()
-	if m == nil || len(m.CounterNames()) != 0 {
-		t.Error("nil merge not empty")
-	}
-}
-
-func TestShardedPanicsOnBadCount(t *testing.T) {
-	for _, n := range []int{0, -1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewSharded(%d) did not panic", n)
-				}
-			}()
-			NewSharded(n)
-		}()
+	m.Counter("x").Inc()
+	if m.Counter("x").Value() != 1 {
+		t.Error("merged registry not usable")
 	}
 }
 
 func TestShardCounterIncDoesNotAllocate(t *testing.T) {
-	sh := NewSharded(2)
-	c := sh.Shard(1).Counter("hot.path")
-	h := sh.Shard(1).Histogram("hot.lat")
+	reg := NewRegistry()
+	c := reg.Counter("hot.path")
+	h := reg.Histogram("hot.lat")
 	avg := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		c.Add(3)
 		h.Observe(17)
 	})
 	if avg != 0 {
-		t.Errorf("shard hot-path metrics allocate %.1f times per op, want 0", avg)
+		t.Errorf("hot-path metrics allocate %.1f times per op, want 0", avg)
 	}
 }

@@ -50,11 +50,7 @@ func (r *Resource) BusyCycles() Time { return r.busy }
 // Requests reports how many acquisitions have been made.
 func (r *Resource) Requests() uint64 { return r.requests }
 
-// Waited reports the cumulative queuing delay imposed on requests.
-func (r *Resource) Waited() Time { return r.waited }
-
-// WaitedCycles is an alias for Waited, kept alongside BusyCycles for the
-// existing statistics call sites.
+// WaitedCycles reports the cumulative queuing delay imposed on requests.
 func (r *Resource) WaitedCycles() Time { return r.waited }
 
 // Utilization reports the fraction of [0, end) the resource was occupied.

@@ -36,9 +36,6 @@ func TestResourceQueuing(t *testing.T) {
 	if r.Requests() != 3 {
 		t.Errorf("requests = %d, want 3", r.Requests())
 	}
-	if r.Waited() != r.WaitedCycles() {
-		t.Errorf("Waited() = %d disagrees with WaitedCycles() = %d", r.Waited(), r.WaitedCycles())
-	}
 }
 
 func TestResourceUtilization(t *testing.T) {
