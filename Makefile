@@ -54,16 +54,18 @@ escape-audit-check:
 
 # Short native-fuzz passes over the attack surfaces that parse free-form
 # input (the lint annotation grammar and the counter-block images an
-# attacker writes to memory, checked against a bit-serial reference decoder)
-# and the differential crypto oracle (table-driven GF(2^128) multiply vs the
-# bit-serial reference). One -fuzz target per `go test` invocation, as the
-# tool requires.
+# attacker writes to memory, checked against a bit-serial reference decoder),
+# the differential crypto oracle (table-driven GF(2^128) multiply vs the
+# bit-serial reference) and the block table under the DRAM image and the
+# on-chip copies (operation scripts vs a Go map). One -fuzz target per
+# `go test` invocation, as the tool requires.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCollectIgnores -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzSecretAnnotation -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzHotpathAnnotation -fuzztime=10s ./internal/lint
 	$(GO) test -run='^$$' -fuzz=FuzzMulTable -fuzztime=10s ./internal/gf128
 	$(GO) test -run='^$$' -fuzz=FuzzUnpackBlock -fuzztime=10s ./internal/counterstore
+	$(GO) test -run='^$$' -fuzz=FuzzBlockTable -fuzztime=10s ./internal/blockmap
 
 bench:
 	$(GO) test -bench=. -benchtime=1x -run='^$$' .

@@ -166,19 +166,20 @@ func main() {
 		Cols: []string{"bench", "IPC", "norm IPC", "L2 miss", "ctr hit", "timely pad",
 			"page reencs", "mac fetch", "tamper"},
 	}
-	outs := make([]harness.RunOut, len(benches))
-	if obs.Reg != nil && len(benches) > 1 {
-		// Multi-benchmark metrics: run the campaign and its baselines in
-		// parallel, one registry per run, and merge deterministically —
-		// counters and histograms sum exactly as a sequential accumulation
-		// would; gauges report the busiest benchmark.
+	var outs []harness.RunOut
+	if len(benches) > 1 {
+		// A campaign runs its benchmarks and their baselines in parallel,
+		// one registry per run, merged deterministically: counters and
+		// histograms sum exactly as a sequential accumulation would; gauges
+		// report the busiest benchmark. Without -metrics the merge is
+		// dropped.
 		var merged *obsv.Registry
 		outs, merged = r.CampaignObserved(cfg)
-		obs.Reg = merged
-	} else {
-		for i, b := range benches {
-			outs[i] = r.RunObserved(b, cfg, obs)
+		if obs.Reg != nil {
+			obs.Reg = merged
 		}
+	} else {
+		outs = []harness.RunOut{r.RunObserved(benches[0], cfg, obs)}
 	}
 	for i, b := range benches {
 		out := outs[i]

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"secmem/internal/config"
+	"secmem/internal/sim"
 )
 
 // TestFunctionalHotRootsZeroAlloc pins the functional layer's
@@ -42,5 +43,43 @@ func TestFunctionalHotRootsZeroAlloc(t *testing.T) {
 				t.Errorf("%s+%s: %s allocates %.1f objects/op, want 0", enc, cfg.Auth, tc.name, allocs)
 			}
 		}
+	}
+}
+
+// TestFunctionalFillCycleZeroAlloc pins the functional layer's per-transfer
+// byte moves to zero heap allocations once the blocks involved have been
+// seen: a data fill (DRAM read, MAC verify, decrypt into the on-chip copy),
+// a counter increment and write-back (encrypt, DRAM write, parent MAC
+// update), a second fill and a clean eviction, on blocks written before.
+// The DRAM image, the on-chip copies and the counter images then reuse
+// their table slots and images.
+func TestFunctionalFillCycleZeroAlloc(t *testing.T) {
+	cfg := config.Default()
+	cfg.Functional = true
+	c, err := NewController(cfg)
+	if err != nil {
+		t.Fatalf("NewController: %v", err)
+	}
+	f := c.fn
+	var now sim.Time
+	addr := uint64(0)
+	cycle := func() {
+		now += 1000
+		f.onDataFill(now, addr)
+		c.ctrs.Increment(addr)
+		f.onDataWriteBack(now, addr)
+		f.updateParentSlot(addr)
+		f.onDataFill(now, addr)
+		f.onCleanEvict(addr)
+		addr = (addr + BlockSize) % (16 * BlockSize)
+	}
+	for i := 0; i < 16; i++ {
+		cycle() // write every block once and grow the tables
+	}
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Errorf("fill/write-back/evict cycle allocates %.1f objects/op, want 0", allocs)
+	}
+	if n := len(c.Tampers()); n != 0 {
+		t.Fatalf("honest cycle recorded %d tamper events", n)
 	}
 }

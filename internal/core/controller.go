@@ -458,25 +458,27 @@ func (c *Controller) forwardWB(addr uint64) bool {
 // drain processes queued write-backs. Processing one write-back can fetch
 // and fill further blocks, evicting more dirty victims onto the queue; the
 // loop is bounded because every iteration writes one dirty block out and
-// the dirty population is bounded by the cache sizes.
+// the dirty population is bounded by the cache sizes. The queue is walked
+// by index and emptied in place afterwards, so its backing array is reused
+// by every cascade.
 func (c *Controller) drain() {
 	if c.draining {
 		return
 	}
 	c.draining = true
 	defer func() { c.draining = false }()
-	for guard := 0; len(c.wbQueue) > 0; guard++ {
-		if guard > 1<<20 {
+	for i := 0; i < len(c.wbQueue); i++ {
+		if i > 1<<20 {
 			panic("core: write-back cascade did not terminate")
 		}
-		item := c.wbQueue[0]
-		c.wbQueue = c.wbQueue[1:]
+		item := c.wbQueue[i]
 		if !c.pendingWB[item.addr] {
 			continue // squashed by a write-back buffer forward
 		}
 		delete(c.pendingWB, item.addr)
 		c.writeBackAny(item.now, item.addr)
 	}
+	c.wbQueue = c.wbQueue[:0]
 }
 
 // HandleEviction is the memory system's entry point for dirty L2 evictions.

@@ -149,7 +149,7 @@ func TestCiphertextActuallyEncrypted(t *testing.T) {
 	if bytes.Contains(ct[:], []byte("secret")) {
 		t.Fatal("plaintext visible in DRAM")
 	}
-	if isZero(ct[:]) {
+	if ct == [64]byte{} {
 		t.Fatal("ciphertext is zero")
 	}
 }

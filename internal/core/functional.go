@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"secmem/internal/aescipher"
+	"secmem/internal/blockmap"
 	"secmem/internal/config"
 	"secmem/internal/gcmmode"
 	"secmem/internal/merkle"
@@ -33,12 +34,12 @@ type functional struct {
 	direct *aescipher.Cipher
 
 	// plain holds decrypted data blocks currently resident on-chip; meta
-	// holds the contents of on-chip Merkle nodes. Counter-block contents
-	// live in the counter store's maps and are (de)serialized at the edge.
+	// holds the contents of on-chip Merkle nodes. Counter blocks are the
+	// counter store's own images, which fills and write-backs copy whole.
 	//
 	//secmemlint:secret — plaintext cache-block contents; must never leave the chip unencrypted
-	plain map[uint64]*[BlockSize]byte
-	meta  map[uint64]*[BlockSize]byte
+	plain blockmap.Table
+	meta  blockmap.Table
 
 	root    merkle.Root
 	tampers []Tamper
@@ -55,11 +56,7 @@ type chainLink struct {
 }
 
 func newFunctional(c *Controller) *functional {
-	f := &functional{
-		c:     c,
-		plain: make(map[uint64]*[BlockSize]byte),
-		meta:  make(map[uint64]*[BlockSize]byte),
-	}
+	f := &functional{c: c}
 	// A fixed deterministic key keeps runs reproducible; key management is
 	// explicitly out of the paper's scope (Section 4.4).
 	for i := range f.key {
@@ -145,23 +142,13 @@ func (f *functional) computeMac(addr uint64, content []byte, ctr uint64, mac *[1
 	}
 }
 
-// nodeContent returns a Merkle node's bytes, preferring the trusted on-chip
-// copy, and reports whether the copy was on-chip.
-func (f *functional) nodeContent(addr uint64, buf *[BlockSize]byte) (onChip bool) {
-	if m, ok := f.meta[addr]; ok {
-		*buf = *m
-		return true
-	}
-	f.c.mem.ReadBlock(addr, buf[:])
-	return false
-}
-
 // verify checks a fetched block's MAC against its parent, walking up the
 // tree through off-chip parents until an on-chip node or the root register.
-// Unwritten blocks (never stored by this run) are skipped: their MACs were
-// never initialized, exactly like real memory before first use.
-func (f *functional) verify(now sim.Time, addr uint64, content []byte, ctr uint64) bool {
-	if !f.c.mem.HasBlock(addr) && isZero(content) {
+// Blocks this run never stored (written false; they read as zero) are
+// skipped: their MACs were never initialized, exactly like real memory
+// before first use.
+func (f *functional) verify(now sim.Time, addr uint64, content []byte, ctr uint64, written bool) bool {
+	if !written {
 		return true
 	}
 	var mac [16]byte
@@ -178,13 +165,13 @@ func (f *functional) verify(now sim.Time, addr uint64, content []byte, ctr uint6
 		}
 		return true
 	}
+	// Prefer the parent's trusted on-chip copy. One from untrusted memory
+	// must itself be verified first.
 	var pbuf [BlockSize]byte
-	onChip := f.nodeContent(parent, &pbuf)
-	if !onChip {
-		// The parent itself came from untrusted memory: verify it first.
-		if !f.verify(now, parent, pbuf[:], f.counterFor(parent)) {
-			return false
-		}
+	if m := f.meta.Get(parent); m != nil {
+		pbuf = *m
+	} else if written := f.c.mem.ReadBlock(parent, pbuf[:]); !f.verify(now, parent, pbuf[:], f.counterFor(parent), written) {
+		return false
 	}
 	lo, hi := f.c.lay.Geo.MacOffset(slot)
 	if subtle.ConstantTimeCompare(mac[:n], pbuf[lo:hi]) != 1 {
@@ -194,39 +181,30 @@ func (f *functional) verify(now sim.Time, addr uint64, content []byte, ctr uint6
 	return true
 }
 
-func isZero(b []byte) bool {
-	for _, v := range b {
-		if v != 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // --- fill hooks -----------------------------------------------------------
 
 func (f *functional) onDataFill(now sim.Time, addr uint64) {
-	var ct, pt [BlockSize]byte
-	f.c.mem.ReadBlock(addr, ct[:])
+	var ct [BlockSize]byte
+	written := f.c.mem.ReadBlock(addr, ct[:])
+	ctr := f.counterFor(addr)
 	if f.c.cfg.Auth != config.AuthNone {
-		f.verify(now, addr, ct[:], f.counterFor(addr)) //secmemlint:ignore verifydrop verify records the tamper; the simulator continues to observe post-tamper behavior
+		f.verify(now, addr, ct[:], ctr, written) //secmemlint:ignore verifydrop verify records the tamper; the simulator continues to observe post-tamper behavior
 	}
-	f.decrypt(pt[:], ct[:], addr, f.counterFor(addr))
-	f.plain[addr] = &pt
+	pt, _ := f.plain.Put(addr)
+	f.decrypt(pt[:], ct[:], addr, ctr)
 }
 
 func (f *functional) onMacFill(now sim.Time, addr uint64) {
-	var buf [BlockSize]byte
-	f.c.mem.ReadBlock(addr, buf[:])
-	f.verify(now, addr, buf[:], f.counterFor(addr)) //secmemlint:ignore verifydrop verify records the tamper; the simulator continues to observe post-tamper behavior
-	f.meta[addr] = &buf
+	buf, _ := f.meta.Put(addr)
+	written := f.c.mem.ReadBlock(addr, buf[:])
+	f.verify(now, addr, buf[:], f.counterFor(addr), written) //secmemlint:ignore verifydrop verify records the tamper; the simulator continues to observe post-tamper behavior
 }
 
 func (f *functional) onCounterFill(now sim.Time, ctrBlk uint64) {
 	var img [BlockSize]byte
-	f.c.mem.ReadBlock(ctrBlk, img[:])
+	written := f.c.mem.ReadBlock(ctrBlk, img[:])
 	if f.c.cfg.AuthenticateCounters && f.c.cfg.Auth != config.AuthNone && f.c.inTree(ctrBlk) {
-		f.verify(now, ctrBlk, img[:], f.counterFor(ctrBlk)) //secmemlint:ignore verifydrop verify records the tamper; the simulator continues to observe post-tamper behavior
+		f.verify(now, ctrBlk, img[:], f.counterFor(ctrBlk), written) //secmemlint:ignore verifydrop verify records the tamper; the simulator continues to observe post-tamper behavior
 	}
 	// The hardware trusts what memory says: install the fetched counters.
 	// Without counter authentication this is where a replayed counter block
@@ -237,22 +215,22 @@ func (f *functional) onCounterFill(now sim.Time, ctrBlk uint64) {
 // --- write-back hooks ------------------------------------------------------
 
 func (f *functional) onDataWriteBack(now sim.Time, addr uint64) {
-	pt, ok := f.plain[addr]
-	if !ok {
-		pt = new([BlockSize]byte)
+	var ct, zero [BlockSize]byte
+	pt := f.plain.Get(addr)
+	if pt == nil {
+		pt = &zero
 	}
-	var ct [BlockSize]byte
 	f.encrypt(ct[:], pt[:], addr, f.counterFor(addr))
 	f.c.mem.WriteBlock(addr, ct[:])
-	delete(f.plain, addr)
+	f.plain.Delete(addr)
 }
 
 func (f *functional) onMetaWriteBack(now sim.Time, addr uint64) {
 	switch f.c.lay.RegionOf(addr) {
 	case RegionMac:
-		if m, ok := f.meta[addr]; ok {
+		if m := f.meta.Get(addr); m != nil {
 			f.c.mem.WriteBlock(addr, m[:])
-			delete(f.meta, addr)
+			f.meta.Delete(addr)
 		}
 	default: // counter or derivative block: serialize current values
 		img := f.c.ctrs.PackBlock(addr)
@@ -260,9 +238,15 @@ func (f *functional) onMetaWriteBack(now sim.Time, addr uint64) {
 	}
 }
 
+// onCleanEvict drops the on-chip copy of a clean block leaving the chip.
+// Only data blocks have one in plain and only Merkle nodes one in meta.
 func (f *functional) onCleanEvict(addr uint64) {
-	delete(f.plain, addr)
-	delete(f.meta, addr)
+	switch f.c.lay.RegionOf(addr) {
+	case RegionData:
+		f.plain.Delete(addr)
+	case RegionMac:
+		f.meta.Delete(addr)
+	}
 }
 
 // updateParentSlot recomputes the MAC of the block just written at addr
@@ -278,12 +262,10 @@ func (f *functional) updateParentSlot(addr uint64) {
 		f.root.Set(mac[:n])
 		return
 	}
-	node, okNode := f.meta[parent]
-	if !okNode {
+	node, onChip := f.meta.Put(parent)
+	if !onChip {
 		// The timing path fetched and filled the parent; mirror it.
-		node = new([BlockSize]byte)
 		f.c.mem.ReadBlock(parent, node[:])
-		f.meta[parent] = node
 	}
 	lo, hi := f.c.lay.Geo.MacOffset(slot)
 	copy(node[lo:hi], mac[:n])
@@ -294,10 +276,10 @@ func (f *functional) updateParentSlot(addr uint64) {
 // the old counter is still reconstructible.
 func (f *functional) onReencBlock(now sim.Time, blk, oldMajor uint64) {
 	var ct, pt [BlockSize]byte
-	f.c.mem.ReadBlock(blk, ct[:])
+	written := f.c.mem.ReadBlock(blk, ct[:])
 	oldCtr := f.c.ctrs.ValueWithMajor(blk, oldMajor)
 	if f.c.cfg.Auth != config.AuthNone {
-		f.verify(now, blk, ct[:], oldCtr) //secmemlint:ignore verifydrop verify records the tamper; re-encryption proceeds to observe post-tamper behavior
+		f.verify(now, blk, ct[:], oldCtr, written) //secmemlint:ignore verifydrop verify records the tamper; re-encryption proceeds to observe post-tamper behavior
 	}
 	f.decrypt(pt[:], ct[:], blk, oldCtr)
 	// New counter: the already-bumped major with a zeroed minor.
@@ -326,7 +308,7 @@ func (f *functional) reencryptAll(now sim.Time) {
 		}
 		var r rec
 		r.addr = addr
-		if p, ok := f.plain[addr]; ok {
+		if p := f.plain.Get(addr); p != nil {
 			r.pt = *p
 		} else {
 			var ct [BlockSize]byte
@@ -372,9 +354,7 @@ func (f *functional) rebuildTree(now sim.Time) {
 		}
 	}
 	f.c.mem.ForEachBlock(add)
-	for addr := range f.meta {
-		add(addr)
-	}
+	f.meta.ForEach(add)
 	var batch []chainLink
 	for l := -1; l < geo.NumLevels(); l++ {
 		blocks := level[l]
@@ -386,11 +366,9 @@ func (f *functional) rebuildTree(now sim.Time) {
 		batch = batch[:0]
 		for _, addr := range blocks {
 			var lk chainLink
-			if m, ok := f.meta[addr]; ok {
+			if m := f.meta.Get(addr); m != nil {
 				lk.content = *m
-			} else if f.c.mem.HasBlock(addr) {
-				f.c.mem.ReadBlock(addr, lk.content[:])
-			} else {
+			} else if !f.c.mem.ReadBlock(addr, lk.content[:]) {
 				continue
 			}
 			lk.addr, lk.ctr = addr, f.counterFor(addr)
@@ -409,7 +387,7 @@ func (f *functional) rebuildTree(now sim.Time) {
 				continue
 			}
 			lo, hi := geo.MacOffset(slot)
-			if m, okm := f.meta[parent]; okm {
+			if m := f.meta.Get(parent); m != nil {
 				copy(m[lo:hi], mac[:n])
 				// The on-chip copy now differs from memory; it must be
 				// written back eventually or the new MAC is lost.
@@ -438,8 +416,8 @@ func sliceContains(s []uint64, v uint64) (int, bool) {
 
 // Peek copies the current plaintext of an on-chip data block.
 func (f *functional) peek(addr uint64, dst []byte) bool {
-	p, ok := f.plain[addr]
-	if !ok {
+	p := f.plain.Get(addr)
+	if p == nil {
 		return false
 	}
 	copy(dst, p[:])
@@ -448,8 +426,8 @@ func (f *functional) peek(addr uint64, dst []byte) bool {
 
 // Poke overwrites bytes within an on-chip data block's plaintext.
 func (f *functional) poke(addr uint64, off int, src []byte) bool {
-	p, ok := f.plain[addr]
-	if !ok {
+	p := f.plain.Get(addr)
+	if p == nil {
 		return false
 	}
 	copy(p[off:], src)

@@ -17,6 +17,7 @@ package counterstore
 import (
 	"fmt"
 
+	"secmem/internal/blockmap"
 	"secmem/internal/cache"
 	"secmem/internal/config"
 	"secmem/internal/obsv"
@@ -160,11 +161,10 @@ type Store struct {
 
 	// blocks maps a counter-block address to its 64-byte memory image, the
 	// only copy of the counters it holds; an absent block reads as zero.
-	// The images are map values rather than one heap object each: tens of
-	// thousands of small objects per run made building the next machine
-	// measurably slower.
-	blocks map[uint64][BlockSize]byte
-	global uint64 // the on-chip global counter (OrgGlobal)
+	// Counters are read and updated in place through the image pointer.
+	blocks blockmap.Table
+	zero   [BlockSize]byte // the image of every block not stored yet; never written
+	global uint64          // the on-chip global counter (OrgGlobal)
 
 	// Data-counter layout, fixed by the organization (see slot).
 	perBlock uint64 // data blocks per counter block
@@ -218,7 +218,6 @@ func New(cfg Config) *Store {
 	}
 	return &Store{
 		cfg:      cfg,
-		blocks:   make(map[uint64][BlockSize]byte),
 		perBlock: perBlock,
 		first:    first,
 		width:    width,
@@ -263,15 +262,24 @@ func (s *Store) CounterBlockAddr(addr uint64) uint64 {
 	return ctrBlock
 }
 
+// image returns the counter block's image for reading only: the stored one,
+// or the all-zero image of a block never stored.
+func (s *Store) image(ctrBlock uint64) *[BlockSize]byte {
+	if img := s.blocks.Get(ctrBlock); img != nil {
+		return img
+	}
+	return &s.zero
+}
+
 // Value returns the current counter value for a protected block, as used in
 // the encryption/authentication seed. Split counters concatenate major and
 // minor (major << minorBits | minor).
 func (s *Store) Value(addr uint64) uint64 {
 	ctrBlock, off, width := s.slot(addr)
-	img := s.blocks[ctrBlock]
-	v := getBits(&img, off, width)
+	img := s.image(ctrBlock)
+	v := getBits(img, off, width)
 	if s.cfg.Org == OrgSplit && addr < s.cfg.Regions.DirectBase {
-		v |= getBits(&img, 0, 64) << width
+		v |= getBits(img, 0, 64) << width
 	}
 	return v
 }
@@ -280,14 +288,12 @@ func (s *Store) Value(addr uint64) uint64 {
 // RSR uses the page's old major to decrypt blocks during re-encryption).
 func (s *Store) ValueWithMajor(addr, major uint64) uint64 {
 	ctrBlock, off, width := s.slot(addr)
-	img := s.blocks[ctrBlock]
-	return major<<width | getBits(&img, off, width)
+	return major<<width | getBits(s.image(ctrBlock), off, width)
 }
 
 // Major returns the page's current major counter.
 func (s *Store) Major(pageAddr uint64) uint64 {
-	img := s.blocks[s.CounterBlockAddr(pageAddr)]
-	return getBits(&img, 0, 64)
+	return getBits(s.image(s.CounterBlockAddr(pageAddr)), 0, 64)
 }
 
 // Increment advances the block's counter for a write-back and reports any
@@ -298,11 +304,10 @@ func (s *Store) Major(pageAddr uint64) uint64 {
 // (DESIGN.md argues no metadata block wraps within a run).
 func (s *Store) Increment(addr uint64) Overflow {
 	ctrBlock, off, width := s.slot(addr)
-	img := s.blocks[ctrBlock]
-	v := getBits(&img, off, width) + 1
+	img, _ := s.blocks.Put(ctrBlock)
+	v := getBits(img, off, width) + 1
 	if addr >= s.cfg.Regions.DirectBase {
-		setBits(&img, off, width, v)
-		s.blocks[ctrBlock] = img
+		setBits(img, off, width, v)
 		s.Stats.DerivIncrements++
 		return Overflow{}
 	}
@@ -325,8 +330,7 @@ func (s *Store) Increment(addr uint64) Overflow {
 			ov.Kind = FullOverflow
 		}
 	}
-	setBits(&img, off, width, v)
-	s.blocks[ctrBlock] = img
+	setBits(img, off, width, v)
 	switch ov.Kind {
 	case PageOverflow:
 		s.Stats.MinorOverflows++
@@ -342,12 +346,10 @@ func (s *Store) Increment(addr uint64) Overflow {
 // reset per block as the RSR processes them (ResetMinor), matching Section
 // 4.2's lazy ordering. It returns the old and new major values.
 func (s *Store) BumpMajor(pageAddr uint64) (oldMajor, newMajor uint64) {
-	ctrBlock := s.CounterBlockAddr(pageAddr)
-	img := s.blocks[ctrBlock]
-	oldMajor = getBits(&img, 0, 64)
+	img, _ := s.blocks.Put(s.CounterBlockAddr(pageAddr))
+	oldMajor = getBits(img, 0, 64)
 	newMajor = oldMajor + 1
-	setBits(&img, 0, 64, newMajor)
-	s.blocks[ctrBlock] = img
+	setBits(img, 0, 64, newMajor)
 	return oldMajor, newMajor
 }
 
@@ -355,16 +357,15 @@ func (s *Store) BumpMajor(pageAddr uint64) (oldMajor, newMajor uint64) {
 // re-encrypting page is handled).
 func (s *Store) ResetMinor(addr uint64) {
 	ctrBlock, off, width := s.slot(addr)
-	if img, ok := s.blocks[ctrBlock]; ok {
-		setBits(&img, off, width, 0)
-		s.blocks[ctrBlock] = img
+	if img := s.blocks.Get(ctrBlock); img != nil {
+		setBits(img, off, width, 0)
 	}
 }
 
 // ResetAll zeroes every counter; whole-memory re-encryption (monolithic
 // overflow key change) starts all counters over under the new key.
 func (s *Store) ResetAll() {
-	clear(s.blocks)
+	s.blocks.Clear()
 	s.global = 0
 }
 

@@ -22,7 +22,7 @@ import "fmt"
 // PackBlock returns the 64-byte image of the counter block at ctrBlock.
 func (s *Store) PackBlock(ctrBlock uint64) [BlockSize]byte {
 	s.checkCounterBlock(ctrBlock)
-	return s.blocks[ctrBlock]
+	return *s.image(ctrBlock)
 }
 
 // UnpackBlock installs a 64-byte counter block image, overwriting the
@@ -32,7 +32,9 @@ func (s *Store) PackBlock(ctrBlock uint64) [BlockSize]byte {
 // counter authentication is disabled.
 func (s *Store) UnpackBlock(ctrBlock uint64, img []byte) {
 	s.checkCounterBlock(ctrBlock)
-	s.blocks[ctrBlock] = [BlockSize]byte(img) // panics on a short image
+	v := [BlockSize]byte(img) // panics on a short image
+	dst, _ := s.blocks.Put(ctrBlock)
+	*dst = v
 }
 
 // checkCounterBlock panics unless ctrBlock is in the direct- or

@@ -6,14 +6,16 @@
 // The backing store is also the attack surface: everything in it sits
 // outside the processor chip's trust boundary, so the Attacker type mutates
 // it directly, exactly like the bus snoopers and mod chips the paper defends
-// against. Sparse storage keeps multi-hundred-megabyte address spaces cheap
-// when only a small working set is touched.
+// against. The store is a blockmap.Table holding only the blocks written so
+// far, so a multi-hundred-megabyte address space costs memory in proportion
+// to the working set actually touched.
 package dram
 
 import (
 	"fmt"
 	"math/rand"
 
+	"secmem/internal/blockmap"
 	"secmem/internal/obsv"
 	"secmem/internal/sim"
 )
@@ -47,7 +49,7 @@ func DefaultConfig() Config {
 type DRAM struct {
 	cfg    Config
 	pipe   *sim.Pipeline
-	blocks map[uint64]*[BlockSize]byte // functional store, block-aligned keys
+	blocks blockmap.Table // functional store: every block written so far
 
 	Reads  uint64
 	Writes uint64
@@ -71,14 +73,10 @@ func New(cfg Config) *DRAM {
 	if cfg.SizeBytes == 0 || cfg.SizeBytes%BlockSize != 0 {
 		panic("dram: size must be a positive multiple of the block size")
 	}
-	d := &DRAM{
+	return &DRAM{
 		cfg:  cfg,
 		pipe: sim.NewPipeline(1, cfg.ServiceInterval, cfg.LatencyCycles),
 	}
-	if cfg.Functional {
-		d.blocks = make(map[uint64]*[BlockSize]byte)
-	}
-	return d
 }
 
 // Config returns the device configuration.
@@ -118,56 +116,44 @@ func (d *DRAM) checkAddr(addr uint64) {
 }
 
 // ReadBlock copies the 64-byte block at addr into dst (functional mode
-// only). Unwritten blocks read as zero.
-func (d *DRAM) ReadBlock(addr uint64, dst []byte) {
-	d.checkAddr(addr)
-	if d.blocks == nil {
-		panic("dram: functional store disabled")
-	}
-	if b, ok := d.blocks[addr]; ok {
+// only) and reports whether the block has ever been written. Unwritten
+// blocks read as zero; the functional verifier skips their MAC checks.
+func (d *DRAM) ReadBlock(addr uint64, dst []byte) (written bool) {
+	d.checkFunctional(addr)
+	if b := d.blocks.Get(addr); b != nil {
 		copy(dst, b[:])
-		return
+		return true
 	}
-	for i := 0; i < BlockSize && i < len(dst); i++ {
-		dst[i] = 0
-	}
+	clear(dst[:min(len(dst), BlockSize)])
+	return false
 }
 
 // WriteBlock stores the 64-byte block at addr (functional mode only).
 func (d *DRAM) WriteBlock(addr uint64, src []byte) {
-	d.checkAddr(addr)
-	if d.blocks == nil {
-		panic("dram: functional store disabled")
-	}
-	b, ok := d.blocks[addr]
-	if !ok {
-		b = new([BlockSize]byte)
-		d.blocks[addr] = b
-	}
+	d.checkFunctional(addr)
+	b, _ := d.blocks.Put(addr)
 	copy(b[:], src)
 }
 
-// Functional reports whether the backing store is enabled.
-func (d *DRAM) Functional() bool { return d.blocks != nil }
-
-// HasBlock reports whether the block at addr has ever been written. The
-// functional verifier uses this to skip MAC checks on uninitialized memory.
-func (d *DRAM) HasBlock(addr uint64) bool {
-	_, ok := d.blocks[addr]
-	return ok
-}
-
-// ForEachBlock visits every written block address (in no particular order).
-// Whole-memory re-encryption uses it to find everything that needs a new
-// key epoch.
-func (d *DRAM) ForEachBlock(fn func(addr uint64)) {
-	for addr := range d.blocks {
-		fn(addr)
+func (d *DRAM) checkFunctional(addr uint64) {
+	d.checkAddr(addr)
+	if !d.cfg.Functional {
+		panic("dram: functional store disabled")
 	}
 }
 
+// Functional reports whether the backing store is enabled.
+func (d *DRAM) Functional() bool { return d.cfg.Functional }
+
+// ForEachBlock visits every written block address, in no particular order.
+// Whole-memory re-encryption uses it to find everything that needs a new
+// key epoch. fn must not write blocks that were never written before.
+func (d *DRAM) ForEachBlock(fn func(addr uint64)) {
+	d.blocks.ForEach(fn)
+}
+
 // TouchedBlocks reports how many distinct blocks have been written.
-func (d *DRAM) TouchedBlocks() int { return len(d.blocks) }
+func (d *DRAM) TouchedBlocks() int { return d.blocks.Len() }
 
 // Attacker provides hardware-attack primitives against the backing store.
 // It models a device spliced onto the memory bus or a mod chip on the DIMM:
